@@ -1,9 +1,9 @@
 """Secret-key rate curves: numeric pipeline vs closed forms.
 
 Sweeps the attack angle for both protocols, computes the Devetak-Winter
-rate from the full density-matrix pipeline and from the closed key-rate
-formulas, and tabulates the agreement. Saves a plot to rate_curves.png
-when matplotlib is available.
+rate from the full density-matrix pipeline (one batched call per curve)
+and from the closed key-rate formulas, and tabulates the agreement. Saves
+a plot to rate_curves.png when matplotlib is available.
 """
 
 import math
@@ -13,17 +13,12 @@ import numpy as np
 from symqkd.attack import AttackParams
 from symqkd.rates import closed_rate_six_state, dw_rate_numeric, general_rate_bb84
 
-rows_bb84 = []
-for x in np.linspace(0.0, math.pi / 2, 25):
-    params = AttackParams.bb84(float(x), float(x))
-    point = dw_rate_numeric(params)
-    rows_bb84.append((point.D, point.R_DW, general_rate_bb84(params.x, params.x)))
+xs = np.linspace(0.0, math.pi / 2, 25)
+point = dw_rate_numeric(AttackParams.bb84(xs, xs))
+rows_bb84 = list(zip(point.D, point.R_DW, general_rate_bb84(xs, xs)))
 
-rows_six = []
-for x in np.linspace(0.0, math.pi, 25):
-    params = AttackParams.six_state(float(x))
-    point = dw_rate_numeric(params)
-    rows_six.append((point.D, point.R_DW, closed_rate_six_state(point.D)))
+point = dw_rate_numeric(AttackParams.six_state(np.linspace(0.0, math.pi, 25)))
+rows_six = list(zip(point.D, point.R_DW, closed_rate_six_state(point.D)))
 
 for label, rows in (("BB84", rows_bb84), ("six-state", rows_six)):
     print(f"\n{label}: QBER, numeric rate, closed-form rate, |diff|")

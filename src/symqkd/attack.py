@@ -14,6 +14,11 @@ the flipped branch (norm^2 = QBER D), and |u+1| is the within-basis
 partner state. The signal qubit is the first tensor factor; the 4-dim
 ancilla the second.
 
+Angles may be arrays: ``AttackParams.bb84(xs, ys)`` describes a batch of
+attacks, its isometry is an (..., 8, 2) stack and every reduced state an
+(..., n, n) stack. Scalar angles are the same code on zero-dimensional
+arrays, so one path serves a single attack and a whole curve.
+
 On Bob's side the attack acts as a uniform contraction,
 rho_B(u) = F |u><u| + D |u+1><u+1|; Eve holds the complementary output
 rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions, and residuals of all
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import is_isometry, partial_trace, projector, tensor
+from .smallmat import is_isometry, projector
 from .states import Protocol, basis_labels, state_vector
 
 __all__ = [
@@ -51,71 +56,84 @@ __all__ = [
 
 _QUAD_TOL = 1e-12
 _ZERO_BRANCH = 1e-15
+# A six-state y this close to pi/2 is pi/2 printed with 12 digits.
+_PIN_TOL = 1e-11
 
 
-def qber_bb84(x: float, y: float) -> float:
+def qber_bb84(x, y):
     """QBER induced by the two-angle BB84 attack: (1-cos x)/(2-cos x+cos y)."""
-    cx, cy = math.cos(x), math.cos(y)
+    cx, cy = np.cos(x), np.cos(y)
     den = 2.0 - cx + cy
-    if abs(den) < 1e-12:
+    if (np.abs(den) < 1e-12).any():
         raise ValueError("degenerate attack angles: 2 - cos(x) + cos(y) vanishes")
     return (1.0 - cx) / den
 
 
-def qber_six_state(x: float) -> float:
+def qber_six_state(x):
     """QBER induced by the one-angle six-state attack: (1-cos x)/(2-cos x)."""
-    cx = math.cos(x)
+    cx = np.cos(x)
     return (1.0 - cx) / (2.0 - cx)
 
 
-def _canonical_angle(t: float) -> float:
-    """Reduce an angle to [0, pi]; rates depend on it only through cos."""
-    if not math.isfinite(t):
+def _canonical_angle(t) -> np.ndarray:
+    """Reduce angles to [0, pi]; rates depend on them only through cos."""
+    a = np.asarray(t, dtype=float)
+    if not np.isfinite(a).all():
         raise ValueError("attack angle must be finite")
-    if 0.0 <= t <= math.pi:
-        return t
-    return math.acos(math.cos(t))
+    return np.where((a >= 0.0) & (a <= math.pi), a, np.arccos(np.cos(a)))
+
+
+def _field(a: np.ndarray) -> float | np.ndarray:
+    """A zero-dimensional array as a plain float, any other array as is."""
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Angles fully determining one symmetric attack.
+    """Angles fully determining one symmetric attack, or a batch of them.
 
     x controls the undisturbed-branch overlap, y the flipped-branch one.
-    For the six-state family y is pinned to pi/2 exactly, the unique value
-    compatible with symmetry in all three bases.
+    Scalar angles give one attack with float fields; arrays (broadcast
+    together) give one attack per element, and every check covers all of
+    them. For the six-state family y is pinned to pi/2, the unique value
+    compatible with symmetry in all three bases; a y within 1e-11 of it is
+    taken as pi/2.
     """
 
     protocol: Protocol
-    x: float
-    y: float
+    x: float | np.ndarray
+    y: float | np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _canonical_angle(self.x))
-        object.__setattr__(self, "y", _canonical_angle(self.y))
-        if self.protocol is Protocol.SIX_STATE and self.y != math.pi / 2:
-            raise ValueError("six-state attacks require y = pi/2 exactly")
+        x, y = np.broadcast_arrays(_canonical_angle(self.x), _canonical_angle(self.y))
+        if self.protocol is Protocol.SIX_STATE:
+            if (np.abs(y - math.pi / 2) > _PIN_TOL).any():
+                raise ValueError("six-state attacks require y = pi/2")
+            y = np.full_like(y, math.pi / 2)
+        object.__setattr__(self, "x", _field(x))
+        object.__setattr__(self, "y", _field(y))
         d = self.qber
-        if not 0.0 <= d < 1.0:
-            raise ValueError(f"attack angles give QBER {d}, outside [0, 1)")
+        bad = ~((d >= 0.0) & (d < 1.0))
+        if bad.any():
+            raise ValueError(f"attack angles give QBER {np.asarray(d)[bad].flat[0]}, outside [0, 1)")
 
     @classmethod
-    def bb84(cls, x: float, y: float | None = None) -> "AttackParams":
+    def bb84(cls, x, y=None) -> "AttackParams":
         """BB84 attack; y defaults to x (the rate-minimizing diagonal)."""
         return cls(Protocol.BB84, x, x if y is None else y)
 
     @classmethod
-    def six_state(cls, x: float) -> "AttackParams":
+    def six_state(cls, x) -> "AttackParams":
         return cls(Protocol.SIX_STATE, x, math.pi / 2)
 
     @property
-    def qber(self) -> float:
+    def qber(self):
         if self.protocol is Protocol.BB84:
             return qber_bb84(self.x, self.y)
         return qber_six_state(self.x)
 
     @property
-    def fidelity(self) -> float:
+    def fidelity(self):
         return 1.0 - self.qber
 
 
@@ -125,7 +143,8 @@ class AncillaQuad:
 
     F0/F1 ride the undisturbed branch (norm^2 = fidelity), D0/D1 the
     flipped branch (norm^2 = QBER). Components are ordered to match the
-    ancilla factor of the isometry.
+    ancilla factor of the isometry and run along the last axis; leading
+    axes index the attacks of a batch.
     """
 
     F0: np.ndarray
@@ -136,16 +155,14 @@ class AncillaQuad:
 
 def ancilla_states(params: AttackParams) -> AncillaQuad:
     """Concrete ancilla choice realizing all symmetry conditions."""
-    f, d = params.fidelity, params.qber
-    sf, sd = math.sqrt(f), math.sqrt(d)
-    cx, sx = math.cos(params.x), math.sin(params.x)
-    cy, sy = math.cos(params.y), math.sin(params.y)
-    return AncillaQuad(
-        F0=np.array([sf, 0.0, 0.0, 0.0], dtype=complex),
-        D0=np.array([0.0, sd, 0.0, 0.0], dtype=complex),
-        F1=np.array([sf * cx, 0.0, 0.0, sf * sx], dtype=complex),
-        D1=np.array([0.0, sd * cy, sd * sy, 0.0], dtype=complex),
-    )
+    d = params.qber
+    sf, sd = np.sqrt(1.0 - d), np.sqrt(d)
+    q = np.zeros(np.shape(d) + (4, 4), dtype=complex)  # rows F0, D0, F1, D1
+    q[..., 0, 0] = sf
+    q[..., 1, 1] = sd
+    q[..., 2, 0], q[..., 2, 3] = sf * np.cos(params.x), sf * np.sin(params.x)
+    q[..., 3, 1], q[..., 3, 2] = sd * np.cos(params.y), sd * np.sin(params.y)
+    return AncillaQuad(F0=q[..., 0, :], D0=q[..., 1, :], F1=q[..., 2, :], D1=q[..., 3, :])
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -153,29 +170,33 @@ def _norm2(v: np.ndarray) -> float:
 
 
 def build_isometry(quad: AncillaQuad) -> np.ndarray:
-    """Assemble the 8x2 isometry from an ancilla quad.
+    """Assemble the 8x2 isometry (an (..., 8, 2) stack for a batch) from an ancilla quad.
 
-    The quad must satisfy the symmetry constraints (equal branch norms
+    Every quad must satisfy the symmetry constraints (equal branch norms
     summing to one, orthogonality within and across branches); violations
     are rejected because they would break V^dag V = I.
     """
-    f0, d0, f1, d1 = quad.F0, quad.D0, quad.F1, quad.D1
-    nf, nd = _norm2(f0), _norm2(d0)
-    checks = [
-        abs(_norm2(f1) - nf),
-        abs(_norm2(d1) - nd),
-        abs(nf + nd - 1.0),
-        abs(np.vdot(f0, d0)),
-        abs(np.vdot(f1, d1)),
-        abs(np.vdot(f0, d1)),
-        abs(np.vdot(f1, d0)),
-    ]
-    if max(checks) > _QUAD_TOL:
-        raise ValueError(f"ancilla quad violates symmetry constraints (max residual {max(checks):.3e})")
-    zero, one = state_vector("0"), state_vector("1")
-    v = np.zeros((8, 2), dtype=complex)
-    v[:, 0] = tensor(zero, f0) + tensor(one, d0)
-    v[:, 1] = tensor(one, f1) + tensor(zero, d1)
+    q = np.stack([quad.F0, quad.D0, quad.F1, quad.D1], axis=-2)
+    g = q.conj() @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>, rows F0, D0, F1, D1
+    nf, nd = g[..., 0, 0].real, g[..., 1, 1].real
+    residual = np.max(
+        np.abs(
+            [
+                g[..., 2, 2].real - nf,
+                g[..., 3, 3].real - nd,
+                nf + nd - 1.0,
+                g[..., 0, 1],
+                g[..., 2, 3],
+                g[..., 0, 3],
+                g[..., 2, 1],
+            ]
+        )
+    )
+    if residual > _QUAD_TOL:
+        raise ValueError(f"ancilla quad violates symmetry constraints (max residual {residual:.3e})")
+    # V|0> = |0>|F0> + |1>|D0> and V|1> = |0>|D1> + |1>|F1>: pick the quad
+    # rows as (signal, input), then order the axes (signal, ancilla, input).
+    v = q[..., [[0, 3], [1, 2]], :].swapaxes(-1, -2).reshape(q.shape[:-2] + (8, 2))
     if not is_isometry(v, _QUAD_TOL):
         raise ValueError("constructed map is not an isometry")
     return v
@@ -184,6 +205,11 @@ def build_isometry(quad: AncillaQuad) -> np.ndarray:
 def attack_isometry(params: AttackParams) -> np.ndarray:
     """Isometry of the attack given by params."""
     return build_isometry(ancilla_states(params))
+
+
+def _output(v: np.ndarray, u: str) -> np.ndarray:
+    """V|u> as a (..., 2, 4) array indexed (signal, ancilla)."""
+    return (v @ state_vector(u)).reshape(v.shape[:-2] + (2, 4))
 
 
 def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -196,7 +222,7 @@ def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray,
     u0, u1 = basis_labels(basis)
     out = []
     for u, partner in ((u0, u1), (u1, u0)):
-        psi = (v @ state_vector(u)).reshape(2, 4)
+        psi = _output(v, u)
         su, sp = state_vector(u), state_vector(partner)
         out.append(su.conj() @ psi)  # component along |u>
         out.append(sp.conj() @ psi)  # component along |u+1>
@@ -205,14 +231,14 @@ def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray,
 
 def bob_state(v: np.ndarray, u: str) -> np.ndarray:
     """Bob's 2x2 reduced state for input label u (ancilla traced out)."""
-    psi = v @ state_vector(u)
-    return partial_trace(projector(psi), 2, 4, keep="A")
+    psi = _output(v, u)
+    return np.einsum("...ak,...bk->...ab", psi, psi.conj())
 
 
 def eve_state(v: np.ndarray, u: str) -> np.ndarray:
     """Eve's 4x4 reduced state for input label u (signal traced out)."""
-    psi = v @ state_vector(u)
-    return partial_trace(projector(psi), 2, 4, keep="B")
+    psi = _output(v, u)
+    return np.einsum("...ka,...kb->...ab", psi, psi.conj())
 
 
 def eve_average(v: np.ndarray, basis: str) -> np.ndarray:

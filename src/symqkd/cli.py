@@ -53,11 +53,11 @@ def _protocol(name: str) -> Protocol:
 
 def _attack_params(args: argparse.Namespace) -> attack.AttackParams:
     protocol = _protocol(args.protocol)
+    if args.y is not None:
+        return attack.AttackParams(protocol, args.x, args.y)
     if protocol is Protocol.SIX_STATE:
-        if args.y is not None and args.y != math.pi / 2:
-            raise ValueError("--y is pinned to pi/2 for the six-state attack")
         return attack.AttackParams.six_state(args.x)
-    return attack.AttackParams.bb84(args.x, args.y)
+    return attack.AttackParams.bb84(args.x)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,29 +108,18 @@ def _curve_rows(protocol: Protocol, grid: int) -> list[dict]:
     # x sweeps the QBER range of each protocol: D(x,x) in [0, 1/2] for
     # BB84 (x up to pi/2), D(x) in [0, 2/3] for six-state (x up to pi).
     x_hi = math.pi / 2 if protocol is Protocol.BB84 else math.pi
-    rows = []
-    for x in np.linspace(0.0, x_hi, grid):
-        x = float(x)
-        if protocol is Protocol.BB84:
-            params = attack.AttackParams.bb84(x, x)
-            closed = rates.general_rate_bb84(x, x)
-        else:
-            params = attack.AttackParams.six_state(x)
-            closed = rates.closed_rate_six_state(params.qber)
-        point = rates.dw_rate_numeric(params)
-        rows.append(
-            {
-                "x": point.x,
-                "y": point.y,
-                "D": point.D,
-                "I_AB": point.I_AB,
-                "chi_AE": point.chi_AE,
-                "R_DW_numeric": point.R_DW,
-                "R_DW_closed": closed,
-                "abs_diff": abs(point.R_DW - closed),
-            }
-        )
-    return rows
+    xs = np.linspace(0.0, x_hi, grid)
+    if protocol is Protocol.BB84:
+        params = attack.AttackParams.bb84(xs, xs)
+        closed = rates.general_rate_bb84(xs, xs)
+    else:
+        params = attack.AttackParams.six_state(xs)
+        closed = rates.closed_rate_six_state(params.qber)
+    point = rates.dw_rate_numeric(params)
+    columns = np.column_stack(
+        (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
+    )
+    return [dict(zip(CURVE_COLUMNS, row)) for row in columns.tolist()]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ from .attack import AttackParams, bob_state
 from .states import basis_labels, basis_of, state_vector
 
 __all__ = [
+    "BLOCK_ROUNDS",
     "DRAWS_PER_ROUND",
     "RNG_NAME",
     "RoundBatch",
@@ -37,6 +38,10 @@ __all__ = [
 
 RNG_NAME = "numpy-pcg64"
 DRAWS_PER_ROUND = 5
+# Rounds per block when the caller sets none: 2^15 rounds draw 1.3 MB of
+# uniforms, which keeps memory flat for any run length. Blocks of 2^14 to
+# 2^18 ran 2^21 rounds in about the same time, 2x faster than one block.
+BLOCK_ROUNDS = 2**15
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,8 @@ class SimConfig:
     estimation_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        if np.ndim(self.params.x) != 0:
+            raise ValueError("a simulation runs one attack, not a batch")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -117,10 +124,10 @@ def simulate_rounds(cfg: SimConfig, start: int, count: int) -> RoundBatch:
 def run_simulation(cfg: SimConfig, block_size: int | None = None) -> SimResult:
     """Run the whole protocol and return sifted-key statistics.
 
-    Deterministic in cfg (including the seed); ``block_size`` only chunks
-    the work and never changes the outcome.
+    Deterministic in cfg (including the seed); ``block_size`` (default
+    ``BLOCK_ROUNDS``) only chunks the work and never changes the outcome.
     """
-    block = cfg.rounds if block_size is None else int(block_size)
+    block = BLOCK_ROUNDS if block_size is None else int(block_size)
     if block < 1:
         raise ValueError("block_size must be positive")
     sifted = 0

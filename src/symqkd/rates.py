@@ -7,6 +7,10 @@ route evaluates the known key-rate formulas of the two protocols directly
 as functions of the QBER. Their agreement over the whole attack family is
 the main correctness check of the package.
 
+Both routes take arrays as well as scalars: a batch of attacks runs as
+one stack through the same code that evaluates a single attack, and every
+domain and consistency check covers the whole batch.
+
 All logarithms are base 2; entropies are in bits.
 """
 
@@ -46,63 +50,80 @@ _RATE_CONSISTENCY_TOL = 1e-9
 _BISECT_TOL = 1e-10
 
 
-def binary_entropy(p: float) -> float:
+def _in_domain(v, hi: float, what: str):
+    """v clipped to [0, hi], a numpy scalar for scalar v; values beyond round-off are rejected."""
+    a = np.asarray(v, dtype=float)[()]
+    bad = ~((a >= -_DOMAIN_SLACK) & (a <= hi + _DOMAIN_SLACK))
+    if bad.any():
+        raise ValueError(f"{what} {np.asarray(a)[bad].flat[0]} outside [0, {hi:.4g}]")
+    return np.minimum(np.maximum(a, 0.0), hi)
+
+
+def _xlog2x(p):
+    """p log2 p elementwise for p >= 0, with its limit 0 at p = 0."""
+    return p * np.log2(p + (p == 0.0))
+
+
+def binary_entropy(p):
     """Shannon entropy of a bit, H(p) = -p log2 p - (1-p) log2 (1-p)."""
-    if not -_DOMAIN_SLACK <= p <= 1.0 + _DOMAIN_SLACK:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    p = _in_domain(p, 1.0, "probability")
+    return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -Tr(rho log2 rho) of a density matrix, in bits.
+def von_neumann_entropy(rho):
+    """Entropy -Tr(rho log2 rho) of a density matrix, or of each in a stack, in bits.
 
     Eigenvalues in [-1e-12, 0] are clamped to zero (round-off); anything
     more negative, or a trace off unity, is rejected as a bug upstream.
     """
     lam = hermitian_eigenvalues(rho)
-    if float(lam.min()) < _EIG_CLAMP:
+    if (lam < _EIG_CLAMP).any():
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lam.min():.3e})")
-    if abs(float(lam.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"matrix trace {lam.sum()} is not 1")
-    lam = np.clip(lam, 0.0, None)
-    nz = lam[lam > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    trace_error = np.abs(lam.sum(axis=-1) - 1.0)
+    if (trace_error > 1e-12).any():
+        raise ValueError(f"matrix trace is off 1 by {trace_error.max():.3e}")
+    return -_xlog2x(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
-def holevo_information(rho_avg, rho_u, rho_flip) -> float:
-    """Holevo bound on an equiprobable two-state ensemble.
+def _holevo(rho_avg, rho_u, rho_flip) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, S(rho_avg)) of equiprobable pairs, all entropies from one eigenvalue call."""
+    rho_avg, rho_u, rho_flip = np.asarray(rho_avg), np.asarray(rho_u), np.asarray(rho_flip)
+    if (np.linalg.norm(rho_avg - 0.5 * (rho_u + rho_flip), axis=(-2, -1)) > _AVG_TOL).any():
+        raise ValueError("rho_avg is not the average of the two ensemble states")
+    s_avg, s_u, s_flip = von_neumann_entropy(np.stack([rho_avg, rho_u, rho_flip]))
+    chi = s_avg - 0.5 * (s_u + s_flip)
+    if (chi < -_AVG_TOL).any():
+        raise RuntimeError(f"Holevo information came out negative ({chi.min():.3e})")
+    return np.maximum(chi, 0.0), s_avg
+
+
+def holevo_information(rho_avg, rho_u, rho_flip):
+    """Holevo bound on an equiprobable two-state ensemble, or on each of a stack of them.
 
     chi = S(rho_avg) - [S(rho_u) + S(rho_flip)] / 2; rho_avg must actually
     be the average of the pair. Tiny negative round-off is clamped to 0.
     """
-    avg = 0.5 * (np.asarray(rho_u) + np.asarray(rho_flip))
-    if float(np.linalg.norm(np.asarray(rho_avg) - avg)) > _AVG_TOL:
-        raise ValueError("rho_avg is not the average of the two ensemble states")
-    chi = von_neumann_entropy(rho_avg) - 0.5 * (
-        von_neumann_entropy(rho_u) + von_neumann_entropy(rho_flip)
-    )
-    if chi < -_AVG_TOL:
-        raise RuntimeError(f"Holevo information came out negative ({chi:.3e})")
-    return max(chi, 0.0)
+    return _holevo(rho_avg, rho_u, rho_flip)[0]
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One evaluation of the rate pipeline at fixed attack angles."""
+    """One evaluation of the rate pipeline at fixed attack angles.
 
-    x: float
-    y: float
-    D: float
-    I_AB: float
-    chi_AE: float
-    R_DW: float
+    Fields are floats for one attack and arrays, one element per attack,
+    for a batch.
+    """
+
+    x: float | np.ndarray
+    y: float | np.ndarray
+    D: float | np.ndarray
+    I_AB: float | np.ndarray
+    chi_AE: float | np.ndarray
+    R_DW: float | np.ndarray
 
 
 def dw_rate_numeric(params: AttackParams) -> RatePoint:
-    """Devetak-Winter rate of an attack, from first principles.
+    """Devetak-Winter rate of an attack, or of every attack of a batch, from first principles.
 
     Pipeline: isometry -> Eve's reduced states -> eigenvalues -> entropies
     -> Holevo information; then R = I_AB - chi_AE with I_AB = 1 - H(D).
@@ -112,59 +133,49 @@ def dw_rate_numeric(params: AttackParams) -> RatePoint:
     v = attack_isometry(params)
     u0, u1 = basis_labels("Z")
     rho_u, rho_flip = eve_state(v, u0), eve_state(v, u1)
-    rho_avg = 0.5 * (rho_u + rho_flip)
-    chi = holevo_information(rho_avg, rho_u, rho_flip)
+    chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
     d = params.qber
     i_ab = 1.0 - binary_entropy(d)
     r = i_ab - chi
-    if abs(r - (1.0 - von_neumann_entropy(rho_avg))) > _RATE_CONSISTENCY_TOL:
+    if (np.abs(r - (1.0 - s_avg)) > _RATE_CONSISTENCY_TOL).any():
         raise RuntimeError("rate pipeline violates R = 1 - S(rho_E) for a symmetric attack")
     return RatePoint(x=params.x, y=params.y, D=d, I_AB=i_ab, chi_AE=chi, R_DW=r)
 
 
-def branch_eigenvalue(angle: float) -> float:
+def branch_eigenvalue(angle):
     """Nontrivial eigenvalue (1 - |cos angle|)/2 of a two-vector branch average."""
-    return 0.5 * (1.0 - abs(math.cos(angle)))
+    return 0.5 * (1.0 - np.abs(np.cos(angle)))
 
 
-def closed_rate_bb84(d: float) -> float:
+def closed_rate_bb84(d):
     """Closed-form BB84 key rate 1 - 2 H(D), valid for D in [0, 1/2]."""
-    if not -_DOMAIN_SLACK <= d <= 0.5 + _DOMAIN_SLACK:
-        raise ValueError(f"BB84 QBER {d} outside [0, 1/2]")
-    return 1.0 - 2.0 * binary_entropy(min(max(d, 0.0), 0.5))
+    return 1.0 - 2.0 * binary_entropy(_in_domain(d, 0.5, "BB84 QBER"))
 
 
-def closed_rate_six_state(d: float) -> float:
+def closed_rate_six_state(d):
     """Closed-form six-state key rate for D in [0, 2/3].
 
     R = 1 + (3D/2) log2(D/2) + (1 - 3D/2) log2(1 - 3D/2), with vanishing
     weights contributing zero at the endpoints.
     """
-    if not -_DOMAIN_SLACK <= d <= 2.0 / 3.0 + _DOMAIN_SLACK:
-        raise ValueError(f"six-state QBER {d} outside [0, 2/3]")
-    d = max(d, 0.0)
-    t1 = 1.5 * d * math.log2(0.5 * d) if d > 0.0 else 0.0
-    w = 1.0 - 1.5 * d
-    t2 = w * math.log2(w) if w > 0.0 else 0.0
-    return 1.0 + t1 + t2
+    d = _in_domain(d, 2.0 / 3.0, "six-state QBER")
+    return 1.0 + 3.0 * _xlog2x(0.5 * d) + _xlog2x(1.0 - 1.5 * d)
 
 
-def closed_rate_six_state_alt(d: float) -> float:
+def closed_rate_six_state_alt(d):
     """Equivalent six-state rate (1-D)[1 - H(D/(2(1-D)))] - H(D).
 
     Algebraically identical to ``closed_rate_six_state`` on [0, 2/3]; past
     2/3 the inner entropy argument exceeds 1 and the form is meaningless,
     so the same domain is enforced.
     """
-    if not -_DOMAIN_SLACK <= d <= 2.0 / 3.0 + _DOMAIN_SLACK:
-        raise ValueError(f"six-state QBER {d} outside [0, 2/3]")
-    d = min(max(d, 0.0), 2.0 / 3.0)
+    d = _in_domain(d, 2.0 / 3.0, "six-state QBER")
     f = 1.0 - d
-    return f * (1.0 - binary_entropy(min(d / (2.0 * f), 1.0))) - binary_entropy(d)
+    return f * (1.0 - binary_entropy(np.minimum(d / (2.0 * f), 1.0))) - binary_entropy(d)
 
 
-def general_rate_bb84(x: float, y: float) -> float:
-    """Closed-form rate of the two-angle BB84 attack.
+def general_rate_bb84(x, y):
+    """Closed-form rate of the two-angle BB84 attack, elementwise over angle arrays.
 
     Assembled from the branch decomposition of Eve's average state:
     R = 1 - H(D) - (1-D) H(b(x)) - D H(b(y)) with b the branch eigenvalue.
@@ -224,21 +235,23 @@ class FamilyMinimum(NamedTuple):
     rate: float
 
 
-def _constrained_y(c: float, d: float) -> float | None:
-    """Angle y keeping the QBER at d for cos(x) = c; None when infeasible."""
+def _constrained_y(x, d: float):
+    """Angle y keeping the QBER at d for each x, and whether such a y exists.
+
+    Where |cos y| would exceed 1 the returned y is the nearest end of [0, pi].
+    """
+    c = np.cos(x)
     cy = (1.0 - c) / d - 2.0 + c
-    if abs(cy) > 1.0 + 1e-12:
-        return None
-    return math.acos(min(max(cy, -1.0), 1.0))
+    return np.arccos(np.minimum(np.maximum(cy, -1.0), 1.0)), np.abs(cy) <= 1.0 + 1e-12
 
 
 def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     """Minimize the BB84 rate over all attacks with a fixed QBER.
 
-    Scans x on a grid over its feasible range (the companion angle y is
-    solved from the QBER constraint; grid points with |cos y| > 1 are
-    skipped), then refines the best cell by golden-section search. The
-    minimum sits on the diagonal x = y at rate 1 - 2 H(D).
+    Scans x on a grid over its feasible range in one array evaluation (the
+    companion angle y is solved from the QBER constraint; grid points with
+    |cos y| > 1 are skipped), then refines the best cell by golden-section
+    search. The minimum sits on the diagonal x = y at rate 1 - 2 H(D).
     """
     if not 0.0 < d_target < 0.5:
         raise ValueError(f"target QBER {d_target} outside (0, 1/2)")
@@ -249,18 +262,14 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     x_hi = math.acos(c_min)
     xs = np.linspace(0.0, x_hi, grid + 1)[1:]
 
-    def rate_at(x: float) -> float | None:
-        y = _constrained_y(math.cos(x), d_target)
-        if y is None:
-            return None
-        return general_rate_bb84(x, y)
+    def rate_at(x):
+        """Rate at each x on the fixed-QBER curve; +inf where no y exists."""
+        y, feasible = _constrained_y(x, d_target)
+        return np.where(feasible, general_rate_bb84(x, y), math.inf)
 
-    best_i, best_r = -1, math.inf
-    for i, x in enumerate(xs):
-        r = rate_at(float(x))
-        if r is not None and r < best_r:
-            best_i, best_r = i, r
-    if best_i < 0:
+    scan = rate_at(xs)
+    best_i = int(np.argmin(scan))
+    if not np.isfinite(scan[best_i]):
         raise ValueError("no feasible attack angles at this QBER")
 
     # Golden-section pass over the bracketing cells.
@@ -272,7 +281,7 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     f1 = rate_at(c1)
     f2 = rate_at(c2)
     while b - a > 1e-12:
-        if (f1 if f1 is not None else math.inf) < (f2 if f2 is not None else math.inf):
+        if f1 < f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - invphi * (b - a)
             f1 = rate_at(c1)
@@ -281,7 +290,5 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
             c2 = a + invphi * (b - a)
             f2 = rate_at(c2)
     x_best = 0.5 * (a + b)
-    y_best = _constrained_y(math.cos(x_best), d_target)
-    if y_best is None:  # numerically at the feasibility edge
-        y_best = math.pi
-    return FamilyMinimum(x=x_best, y=y_best, rate=general_rate_bb84(x_best, y_best))
+    y_best = float(_constrained_y(x_best, d_target)[0])
+    return FamilyMinimum(x=x_best, y=y_best, rate=float(general_rate_bb84(x_best, y_best)))

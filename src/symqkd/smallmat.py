@@ -2,9 +2,9 @@
 
 Everything operates on plain ``complex128`` numpy arrays. The module covers
 exactly what the attack construction needs: Kronecker products, partial
-traces over a bipartite split, a cyclic Jacobi eigensolver for Hermitian
-matrices, and matrix predicates. Dimensions never exceed 8, so clarity and
-robustness win over asymptotic performance everywhere.
+traces over a bipartite split, Hermitian eigenvalues (LAPACK through
+``np.linalg.eigvalsh``) and matrix predicates. The eigenvalue and isometry
+routines also take (..., n, n) stacks, one matrix per attack of a batch.
 
 Index convention for composite spaces: the left tensor factor varies
 slowest, i.e. a (dim_a * dim_b)-dimensional vector stores component
@@ -12,8 +12,6 @@ slowest, i.e. a (dim_a * dim_b)-dimensional vector stores component
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,13 +26,10 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-10
 
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
-
 
 def _as_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -69,51 +64,25 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def is_isometry(v, tol: float) -> bool:
-    """True iff the columns of v are orthonormal: ||V^dag V - I||_F <= tol."""
+    """True iff V^dag V = I within ||.||_F <= tol, for one matrix or every one of a stack."""
     a = _as_complex(v)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         return False
-    gram = a.conj().T @ a
-    return float(np.linalg.norm(gram - np.eye(a.shape[1]))) <= tol
-
-
-def _rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p,q] (and a[q,p]) in place with one complex Jacobi rotation."""
-    apq = a[p, q]
-    theta = math.atan2(apq.imag, apq.real)
-    # Phasing out arg(a_pq) reduces the 2x2 block to the real symmetric
-    # case, where the classic angle choice annihilates the off-diagonal.
-    phi = 0.5 * math.atan2(2.0 * abs(apq), a[p, p].real - a[q, q].real)
-    c, s = math.cos(phi), math.sin(phi)
-    phase = complex(math.cos(theta), -math.sin(theta))
-    u = np.array([[c, -s], [phase * s, phase * c]])
-    idx = [p, q]
-    a[:, idx] = a[:, idx] @ u
-    a[idx, :] = u.conj().T @ a[idx, :]
-    a[p, q] = 0.0
-    a[q, p] = 0.0
+    gram = a.conj().swapaxes(-1, -2) @ a
+    return bool(np.all(np.linalg.norm(gram - np.eye(a.shape[-1]), axis=(-2, -1)) <= tol))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending, by cyclic Jacobi sweeps.
+    """Eigenvalues of a Hermitian matrix, or of each in a (..., n, n) stack, descending.
 
-    Sweeps repeat until the largest off-diagonal magnitude drops below
-    1e-13 (dimensions <= 8 converge in a handful of sweeps). Non-Hermitian
-    input beyond ``HERMITIAN_TOL`` is rejected.
+    Every matrix must be finite and Hermitian within ``HERMITIAN_TOL``
+    (Frobenius norm of m - m^dag); one that is not rejects the whole call.
     """
     a = _as_complex(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if float(np.linalg.norm(a - a.conj().T)) > HERMITIAN_TOL:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
+    skew = a - a.conj().swapaxes(-1, -2)
+    if (np.linalg.norm(skew, axis=(-2, -1)) > HERMITIAN_TOL).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)  # kill round-off asymmetry before rotating
-    n = a.shape[0]
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a - np.diag(np.diag(a))
-        if np.max(np.abs(off)) <= _JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > 1e-16:
-                    _rotate(a, p, q)
-    return np.sort(np.diag(a).real)[::-1]
+    # eigvalsh reads one triangle only; hand it the Hermitian part of m.
+    return np.linalg.eigvalsh(a - 0.5 * skew)[..., ::-1]

@@ -65,8 +65,11 @@ class TestAttackParams:
     def test_six_state_pins_y(self):
         p = AttackParams.six_state(1.0)
         assert p.y == math.pi / 2
-        with pytest.raises(ValueError):
-            AttackParams(Protocol.SIX_STATE, 1.0, 0.3)
+        # pi/2 as printed with 12 significant digits is snapped back to pi/2.
+        assert AttackParams(Protocol.SIX_STATE, 1.0, 1.57079632679).y == math.pi / 2
+        for y in (0.3, math.pi / 2 + 2e-11):
+            with pytest.raises(ValueError, match="pi/2"):
+                AttackParams(Protocol.SIX_STATE, 1.0, y)
 
     def test_unit_qber_rejected(self):
         # x = y = pi drives the flip weight to exactly 1.

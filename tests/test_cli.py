@@ -32,6 +32,13 @@ class TestVerify:
         assert cp.returncode == 0, cp.stderr
         assert "Y:F_norm" in cp.stdout
 
+    def test_six_state_accepts_y_as_printed_by_curve(self):
+        curve = run_cli("curve", "--protocol", "six-state", "--grid", "3")
+        y = curve.stdout.splitlines()[1].split(",")[1]
+        assert y == "1.57079632679"
+        cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0", "--y", y)
+        assert cp.returncode == 0, cp.stderr
+
     def test_six_state_rejects_free_y(self):
         cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0", "--y", "0.3")
         assert cp.returncode == 2

@@ -5,6 +5,7 @@ import pytest
 
 from symqkd.attack import AttackParams, attack_isometry
 from symqkd.protosim import (
+    BLOCK_ROUNDS,
     DRAWS_PER_ROUND,
     RNG_NAME,
     SimConfig,
@@ -42,6 +43,8 @@ class TestConfig:
             SimConfig(params=params, rounds=10, seed=1, estimation_fraction=0.0)
         with pytest.raises(ValueError):
             SimConfig(params=params, rounds=10, seed=1, estimation_fraction=1.0)
+        with pytest.raises(ValueError, match="batch"):
+            SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
 
 
 class TestRunSimulation:
@@ -61,6 +64,10 @@ class TestRunSimulation:
         ref = run_simulation(cfg)
         for block in (1000, 7919, 99_999, 100_000):
             assert run_simulation(cfg, block_size=block) == ref
+
+    def test_default_blocks_match_one_whole_run_block(self):
+        cfg = SimConfig(params=bb84_at(0.15), rounds=3 * BLOCK_ROUNDS + 17, seed=2718)
+        assert run_simulation(cfg) == run_simulation(cfg, block_size=cfg.rounds)
 
     @pytest.mark.parametrize("seed", [1, 988])
     def test_bb84_statistics_at_one_million_rounds(self, seed):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symqkd.attack import AttackParams, attack_isometry, branch_states, eve_average, eve_state
+from symqkd.attack import (
+    AttackParams,
+    attack_isometry,
+    branch_states,
+    eve_average,
+    eve_state,
+    qber_bb84,
+)
 from symqkd.rates import (
     binary_entropy,
     branch_eigenvalue,
@@ -214,6 +221,54 @@ class TestGeneralRate:
         for x, y in rng.uniform(0.2, math.pi - 0.2, size=(6, 2)):
             params = AttackParams.bb84(float(x), float(y))
             assert abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y)) <= 1e-9
+
+    def test_cross_checked_over_the_whole_domain(self):
+        # A 61x61 grid over [0, pi]^2, minus the corner where 2 - cos x + cos y
+        # vanishes and the points whose QBER rounds to 1 (y = pi).
+        g = np.linspace(0.0, math.pi, 61)
+        x, y = (a.ravel() for a in np.meshgrid(g, g))
+        regular = np.abs(2.0 - np.cos(x) + np.cos(y)) >= 1e-12
+        x, y = x[regular], y[regular]
+        attack = qber_bb84(x, y) < 1.0
+        assert attack.sum() >= 60 * 60
+        params = AttackParams.bb84(x[attack], y[attack])
+        diff = np.abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y))
+        assert diff.max() <= 1e-9
+
+
+class TestBatches:
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_each_row_equals_the_single_attack_call(self, protocol):
+        rng = np.random.default_rng(8128)
+        xs, ys = rng.uniform(0.0, math.pi - 0.05, size=(2, 40))
+        if protocol is Protocol.SIX_STATE:
+            ys = np.full_like(xs, math.pi / 2)
+        batch = dw_rate_numeric(AttackParams(protocol, xs, ys))
+        for k in range(len(xs)):
+            single = dw_rate_numeric(AttackParams(protocol, float(xs[k]), float(ys[k])))
+            for field in ("x", "y", "D", "I_AB", "chi_AE", "R_DW"):
+                assert abs(getattr(batch, field)[k] - getattr(single, field)) <= 1e-15
+
+    def test_one_out_of_domain_point_rejects_the_batch(self):
+        ok = [0.3, 1.0, 2.0]
+        with pytest.raises(ValueError):  # x = y = pi: QBER 1
+            AttackParams.bb84(ok + [math.pi], ok + [math.pi])
+        with pytest.raises(ValueError):  # x = 0, y = pi: degenerate denominator
+            AttackParams.bb84(ok + [0.0], ok + [math.pi])
+        with pytest.raises(ValueError):
+            AttackParams.bb84(ok + [math.nan])
+        with pytest.raises(ValueError, match="pi/2"):
+            AttackParams(Protocol.SIX_STATE, ok, [math.pi / 2, math.pi / 2, 0.3])
+        for fn, d in (
+            (binary_entropy, [0.2, 1.01]),
+            (closed_rate_bb84, [0.1, 0.51]),
+            (closed_rate_six_state, [0.1, 0.67]),
+            (closed_rate_six_state_alt, [0.1, 0.7]),
+        ):
+            with pytest.raises(ValueError):
+                fn(np.array(d))
+        with pytest.raises(ValueError):
+            general_rate_bb84(np.array(ok + [0.0]), np.array(ok + [math.pi]))
 
 
 class TestThreshold:

@@ -105,9 +105,9 @@ class TestHermitianEigenvalues:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_lapack_oracle(self, n):
         rng = np.random.default_rng(100 + n)
-        for _ in range(5):
-            m = random_hermitian(rng, n)
-            expected = np.sort(np.linalg.eigvalsh(m))[::-1]
+        mats = [random_hermitian(rng, n) for _ in range(5)]
+        for m in mats + [np.stack(mats)]:  # five matrices, then the same five as one (5, n, n) stack
+            expected = np.sort(np.linalg.eigvalsh(m), axis=-1)[..., ::-1]
             np.testing.assert_allclose(hermitian_eigenvalues(m), expected, atol=1e-10)
 
     def test_sum_equals_trace(self):
@@ -130,6 +130,21 @@ class TestHermitianEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.ones((2, 3)))
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        rng = np.random.default_rng(41)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stack_with_one_non_finite_matrix_rejected(self, bad):
+        rng = np.random.default_rng(43)
+        stack = np.stack([random_density(rng, 4) for _ in range(5)])
+        stack[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(stack)
 
 
 class TestIsIsometry:
