@@ -6,19 +6,14 @@ and from the closed key-rate formulas, and tabulates the agreement. Saves
 a plot to rate_curves.png when matplotlib is available.
 """
 
-import math
+from symqkd.rates import rate_curve
+from symqkd.states import Protocol
 
-import numpy as np
+point, closed = rate_curve(Protocol.BB84, 25)
+rows_bb84 = list(zip(point.D, point.R_DW, closed))
 
-from symqkd.attack import AttackParams
-from symqkd.rates import closed_rate_six_state, dw_rate_numeric, general_rate_bb84
-
-xs = np.linspace(0.0, math.pi / 2, 25)
-point = dw_rate_numeric(AttackParams.bb84(xs, xs))
-rows_bb84 = list(zip(point.D, point.R_DW, general_rate_bb84(xs, xs)))
-
-point = dw_rate_numeric(AttackParams.six_state(np.linspace(0.0, math.pi, 25)))
-rows_six = list(zip(point.D, point.R_DW, closed_rate_six_state(point.D)))
+point, closed = rate_curve(Protocol.SIX_STATE, 25)
+rows_six = list(zip(point.D, point.R_DW, closed))
 
 for label, rows in (("BB84", rows_bb84), ("six-state", rows_six)):
     print(f"\n{label}: QBER, numeric rate, closed-form rate, |diff|")

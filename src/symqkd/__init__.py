@@ -6,82 +6,9 @@ eigenvalues, entropies, Holevo information) and from the protocols' closed
 key-rate formulas, verifies the two agree across the attack family, and
 reproduces the 11% / 12.6% security thresholds. A seedable Monte Carlo
 simulator checks the induced channel statistics empirically.
+
+Import from the modules (``symqkd.attack``, ``symqkd.rates``, ...); the
+package root holds only ``__version__``.
 """
 
-from .attack import (
-    AncillaQuad,
-    AttackParams,
-    ConditionReport,
-    ancilla_states,
-    attack_isometry,
-    bob_state,
-    branch_states,
-    build_isometry,
-    eve_average,
-    eve_state,
-    induced_ancillas,
-    qber_bb84,
-    qber_six_state,
-    verify_symmetry,
-)
-from .protosim import SimConfig, SimResult, mismatch_outcome_check, run_simulation
-from .rates import (
-    FamilyMinimum,
-    RatePoint,
-    Threshold,
-    binary_entropy,
-    branch_eigenvalue,
-    closed_rate_bb84,
-    closed_rate_six_state,
-    closed_rate_six_state_alt,
-    dw_rate_numeric,
-    find_threshold,
-    general_rate_bb84,
-    holevo_information,
-    minimize_family_rate,
-    von_neumann_entropy,
-)
-from .states import Protocol, basis_of, conjugate_flip, decode, encode, state_vector
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AncillaQuad",
-    "AttackParams",
-    "ConditionReport",
-    "FamilyMinimum",
-    "Protocol",
-    "RatePoint",
-    "SimConfig",
-    "SimResult",
-    "Threshold",
-    "ancilla_states",
-    "attack_isometry",
-    "basis_of",
-    "binary_entropy",
-    "bob_state",
-    "branch_eigenvalue",
-    "branch_states",
-    "build_isometry",
-    "closed_rate_bb84",
-    "closed_rate_six_state",
-    "closed_rate_six_state_alt",
-    "conjugate_flip",
-    "decode",
-    "dw_rate_numeric",
-    "encode",
-    "eve_average",
-    "eve_state",
-    "find_threshold",
-    "general_rate_bb84",
-    "holevo_information",
-    "induced_ancillas",
-    "minimize_family_rate",
-    "mismatch_outcome_check",
-    "qber_bb84",
-    "qber_six_state",
-    "run_simulation",
-    "state_vector",
-    "verify_symmetry",
-    "von_neumann_entropy",
-]

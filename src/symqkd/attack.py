@@ -21,8 +21,9 @@ arrays, so one path serves a single attack and a whole curve.
 
 On Bob's side the attack acts as a uniform contraction,
 rho_B(u) = F |u><u| + D |u+1><u+1|; Eve holds the complementary output
-rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions, and residuals of all
-symmetry conditions in any basis, are computed here.
+rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions are computed here, and
+``verify_symmetry`` reports in one ``ConditionReport`` the residual of every
+symmetry condition in any basis, these two output forms included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smallmat import is_isometry, projector
-from .states import Protocol, basis_labels, state_vector
+from .states import Protocol, basis_labels, conjugate_flip, state_vector
 
 __all__ = [
     "ANGLE_CONDITIONS",
@@ -255,6 +256,8 @@ def branch_states(v: np.ndarray, basis: str) -> tuple[np.ndarray | None, np.ndar
     weight below 1e-15 carries no probability and is returned as None (its
     entropy contribution is zero).
     """
+    if np.ndim(v) != 2:
+        raise ValueError("branch states are defined for one attack, not a batch")
     fu, du, fv, dv = induced_ancillas(v, basis)
 
     def _avg(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -268,7 +271,7 @@ def branch_states(v: np.ndarray, basis: str) -> tuple[np.ndarray | None, np.ndar
 
 # Per-state conditions (each signal state separately) and pairwise ones
 # (between a state and its within-basis partner).
-BASE_CONDITIONS = ("F_norm", "D_norm", "FD_ortho")
+BASE_CONDITIONS = ("F_norm", "D_norm", "FD_ortho", "channel_contraction", "complementary_output")
 ANGLE_CONDITIONS = ("FF_overlap", "DD_overlap", "FD_cross")
 
 
@@ -295,17 +298,24 @@ class ConditionReport:
 
 
 def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) -> ConditionReport:
-    """Evaluate every symmetry condition of the attack, basis by basis.
+    """Evaluate every symmetry condition of one attack, basis by basis.
 
     By default the protocol's own bases are checked; passing ``bases``
     overrides this, e.g. to probe a BB84 attack in the Y basis (where the
-    conditions fail unless y = pi/2).
+    conditions fail unless y = pi/2). Besides the ancilla conditions, each
+    basis gets the distance of Bob's state from the uniform contraction
+    (``channel_contraction``) and of Eve's from the complementary output
+    (``complementary_output``); these rows follow the ancilla rows of all
+    bases.
     """
+    if np.ndim(params.x) != 0:
+        raise ValueError("verify_symmetry checks one attack, not a batch")
     v = attack_isometry(params)
     f, d = params.fidelity, params.qber
     ff_target = f * math.cos(params.x)
     dd_target = d * math.cos(params.y)
     residuals: dict[tuple[str, str], float] = {}
+    outputs: dict[tuple[str, str], float] = {}
     for basis in bases if bases is not None else params.protocol.bases:
         fu, du, fv, dv = induced_ancillas(v, basis)
         residuals[(basis, "F_norm")] = max(abs(_norm2(fu) - f), abs(_norm2(fv) - f))
@@ -314,4 +324,14 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
         residuals[(basis, "FF_overlap")] = abs(np.vdot(fu, fv) - ff_target)
         residuals[(basis, "DD_overlap")] = abs(np.vdot(du, dv) - dd_target)
         residuals[(basis, "FD_cross")] = max(abs(np.vdot(fu, dv)), abs(np.vdot(fv, du)))
-    return ConditionReport(residuals)
+        u0, u1 = basis_labels(basis)
+        chan = 0.0
+        comp = 0.0
+        for u, anc_f, anc_d in ((u0, fu, du), (u1, fv, dv)):
+            target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
+            chan = max(chan, float(np.linalg.norm(bob_state(v, u) - target_b)))
+            target_e = projector(anc_f) + projector(anc_d)
+            comp = max(comp, float(np.linalg.norm(eve_state(v, u) - target_e)))
+        outputs[(basis, "channel_contraction")] = chan
+        outputs[(basis, "complementary_output")] = comp
+    return ConditionReport(residuals | outputs)

@@ -1,9 +1,10 @@
 """Command-line front-end: verify | curve | threshold | minimize | simulate.
 
-Results go to stdout or --out; diagnostics go to stderr, gated by the
-QKD_LOG environment variable (error|info|debug). Exit codes: 0 success,
-1 I/O failure, 2 invalid arguments or domain, 3 internal verification
-failure.
+The front-end parses arguments, formats what the library computes and maps
+the outcome to an exit code; it computes no physics of its own. Results go
+to stdout or --out; diagnostics go to stderr, gated by the QKD_LOG
+environment variable (error|info|debug). Exit codes: 0 success, 1 I/O
+failure, 2 invalid arguments or domain, 3 internal verification failure.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import attack, protosim, rates
-from .smallmat import projector
-from .states import Protocol, basis_labels, conjugate_flip, state_vector
+from .states import Protocol
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -70,28 +69,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _attack_params(args)
-    v = attack.attack_isometry(params)
     report = attack.verify_symmetry(params)
     residuals = {f"{b}:{c}": r for (b, c), r in report.residuals.items()}
-
-    # Channel and complementary-output checks per basis, plus the rate identity.
-    f, d = params.fidelity, params.qber
-    for basis in params.protocol.bases:
-        u0, u1 = basis_labels(basis)
-        fu, du, fv, dv = attack.induced_ancillas(v, basis)
-        chan = 0.0
-        comp = 0.0
-        for u, anc_f, anc_d in ((u0, fu, du), (u1, fv, dv)):
-            target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
-            chan = max(chan, float(np.linalg.norm(attack.bob_state(v, u) - target_b)))
-            target_e = projector(anc_f) + projector(anc_d)
-            comp = max(comp, float(np.linalg.norm(attack.eve_state(v, u) - target_e)))
-        residuals[f"{basis}:channel_contraction"] = chan
-        residuals[f"{basis}:complementary_output"] = comp
-
-    point = rates.dw_rate_numeric(params)
-    rho_avg = attack.eve_average(v, "Z")
-    residuals["rate_identity"] = abs(point.R_DW - (1.0 - rates.von_neumann_entropy(rho_avg)))
+    residuals["rate_identity"] = rates.dw_rate_numeric(params).identity_residual
 
     width = max(len(k) for k in residuals)
     for name, value in residuals.items():
@@ -104,35 +84,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _curve_rows(protocol: Protocol, grid: int) -> list[dict]:
-    # x sweeps the QBER range of each protocol: D(x,x) in [0, 1/2] for
-    # BB84 (x up to pi/2), D(x) in [0, 2/3] for six-state (x up to pi).
-    x_hi = math.pi / 2 if protocol is Protocol.BB84 else math.pi
-    xs = np.linspace(0.0, x_hi, grid)
-    if protocol is Protocol.BB84:
-        params = attack.AttackParams.bb84(xs, xs)
-        closed = rates.general_rate_bb84(xs, xs)
-    else:
-        params = attack.AttackParams.six_state(xs)
-        closed = rates.closed_rate_six_state(params.qber)
-    point = rates.dw_rate_numeric(params)
-    columns = np.column_stack(
-        (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
-    )
-    return [dict(zip(CURVE_COLUMNS, row)) for row in columns.tolist()]
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
-    rows = _curve_rows(_protocol(args.protocol), args.grid)
-    log.info("curve: %d points, max |numeric - closed| = %s", len(rows), _fmt(max(r["abs_diff"] for r in rows)))
+    point, closed = rates.rate_curve(_protocol(args.protocol), args.grid)
+    rows = np.column_stack(
+        (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
+    ).tolist()
+    log.info("curve: %d points, max |numeric - closed| = %s", len(rows), _fmt(max(row[-1] for row in rows)))
     if args.format == "csv":
         lines = [",".join(CURVE_COLUMNS)]
-        lines += [",".join(_fmt(row[c]) for c in CURVE_COLUMNS) for row in rows]
+        lines += [",".join(_fmt(value) for value in row) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = [{c: _round12(row[c]) for c in CURVE_COLUMNS} for row in rows]
+        payload = [dict(zip(CURVE_COLUMNS, map(_round12, row))) for row in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -40,6 +40,7 @@ __all__ = [
     "general_rate_bb84",
     "holevo_information",
     "minimize_family_rate",
+    "rate_curve",
     "von_neumann_entropy",
 ]
 
@@ -111,7 +112,8 @@ class RatePoint:
     """One evaluation of the rate pipeline at fixed attack angles.
 
     Fields are floats for one attack and arrays, one element per attack,
-    for a batch.
+    for a batch. ``identity_residual`` is |R_DW - (1 - S(rho_E))|, the
+    residual of the identity every symmetric attack satisfies.
     """
 
     x: float | np.ndarray
@@ -120,6 +122,7 @@ class RatePoint:
     I_AB: float | np.ndarray
     chi_AE: float | np.ndarray
     R_DW: float | np.ndarray
+    identity_residual: float | np.ndarray
 
 
 def dw_rate_numeric(params: AttackParams) -> RatePoint:
@@ -137,9 +140,10 @@ def dw_rate_numeric(params: AttackParams) -> RatePoint:
     d = params.qber
     i_ab = 1.0 - binary_entropy(d)
     r = i_ab - chi
-    if (np.abs(r - (1.0 - s_avg)) > _RATE_CONSISTENCY_TOL).any():
+    residual = np.abs(r - (1.0 - s_avg))
+    if (residual > _RATE_CONSISTENCY_TOL).any():
         raise RuntimeError("rate pipeline violates R = 1 - S(rho_E) for a symmetric attack")
-    return RatePoint(x=params.x, y=params.y, D=d, I_AB=i_ab, chi_AE=chi, R_DW=r)
+    return RatePoint(x=params.x, y=params.y, D=d, I_AB=i_ab, chi_AE=chi, R_DW=r, identity_residual=residual)
 
 
 def branch_eigenvalue(angle):
@@ -188,6 +192,25 @@ def general_rate_bb84(x, y):
         - (1.0 - d) * binary_entropy(branch_eigenvalue(x))
         - d * binary_entropy(branch_eigenvalue(y))
     )
+
+
+def rate_curve(protocol: Protocol, grid: int) -> tuple[RatePoint, np.ndarray]:
+    """Numeric and closed-form rates at ``grid`` evenly spaced attack angles x.
+
+    x sweeps the QBER range of each protocol: D(x, x) in [0, 1/2] for
+    BB84 (x up to pi/2, on the diagonal y = x), D(x) in [0, 2/3] for
+    six-state (x up to pi). Returns the batched ``RatePoint`` and the
+    closed-form rate of each of its attacks.
+    """
+    x_hi = math.pi / 2 if protocol is Protocol.BB84 else math.pi
+    xs = np.linspace(0.0, x_hi, grid)
+    if protocol is Protocol.BB84:
+        params = AttackParams.bb84(xs, xs)
+        closed = general_rate_bb84(xs, xs)
+    else:
+        params = AttackParams.six_state(xs)
+        closed = closed_rate_six_state(params.qber)
+    return dw_rate_numeric(params), closed
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,11 @@ class TestBranchStates:
         assert rho_d is None
         assert abs(np.trace(rho_f) - 1.0) <= 1e-12
 
+    def test_batch_rejected(self):
+        v = attack_isometry(AttackParams.bb84([0.3, 0.5], [0.4, 0.9]))
+        with pytest.raises(ValueError, match="not a batch"):
+            branch_states(v, "Z")
+
     def test_average_state_decomposes_over_branches(self):
         params = AttackParams.six_state(1.3)
         v = attack_isometry(params)
@@ -275,3 +280,7 @@ class TestVerifySymmetry:
         report = verify_symmetry(AttackParams.bb84(0.5, 0.9))
         assert set(c for _, c in report.residuals) == set(BASE_CONDITIONS + ANGLE_CONDITIONS)
         assert report.within(1e-12)
+
+    def test_batch_rejected(self):
+        with pytest.raises(ValueError, match="not a batch"):
+            verify_symmetry(AttackParams.bb84([0.3, 0.5], [0.4, 0.9]))

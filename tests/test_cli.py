@@ -22,15 +22,27 @@ def test_help():
 
 
 class TestVerify:
+    ANCILLA_ROWS = ("F_norm", "D_norm", "FD_ortho", "FF_overlap", "DD_overlap", "FD_cross")
+    OUTPUT_ROWS = ("channel_contraction", "complementary_output")
+
+    def assert_rows(self, stdout: str, bases: str) -> None:
+        """8 rows per basis (every basis's ancilla rows first), the rate identity, then the max."""
+        table = [line.split() for line in stdout.splitlines()]
+        expected = [f"{b}:{c}" for b in bases for c in self.ANCILLA_ROWS]
+        expected += [f"{b}:{c}" for b in bases for c in self.OUTPUT_ROWS]
+        assert [name for name, _ in table] == expected + ["rate_identity", "max_residual"]
+        values = [float(value) for _, value in table]
+        assert values[-1] == max(values[:-1]) <= 1e-9
+
     def test_bb84_passes(self):
         cp = run_cli("verify", "--protocol", "bb84", "--x", "0.7", "--y", "0.7")
         assert cp.returncode == 0, cp.stderr
-        assert "max_residual" in cp.stdout
+        self.assert_rows(cp.stdout, "ZX")
 
     def test_six_state_passes_including_y_basis(self):
         cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0")
         assert cp.returncode == 0, cp.stderr
-        assert "Y:F_norm" in cp.stdout
+        self.assert_rows(cp.stdout, "ZXY")
 
     def test_six_state_accepts_y_as_printed_by_curve(self):
         curve = run_cli("curve", "--protocol", "six-state", "--grid", "3")

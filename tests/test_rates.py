@@ -120,10 +120,14 @@ class TestDwRateNumeric:
     def test_point_invariants(self):
         rng = np.random.default_rng(99)
         for x, y in rng.uniform(0.2, math.pi - 0.2, size=(8, 2)):
-            point = dw_rate_numeric(AttackParams.bb84(float(x), float(y)))
+            params = AttackParams.bb84(float(x), float(y))
+            point = dw_rate_numeric(params)
             assert point.I_AB == 1.0 - binary_entropy(point.D)
             assert point.R_DW == point.I_AB - point.chi_AE
             assert point.chi_AE >= 0.0
+            # The same arithmetic on the same matrices, so equal to the bit.
+            s_eve = von_neumann_entropy(eve_average(attack_isometry(params), "Z"))
+            assert point.identity_residual == abs(point.R_DW - (1.0 - s_eve))
 
     def test_agrees_with_closed_form_on_grids(self):
         for x in np.linspace(0.0, math.pi, 22)[1:-1]:
@@ -246,7 +250,7 @@ class TestBatches:
         batch = dw_rate_numeric(AttackParams(protocol, xs, ys))
         for k in range(len(xs)):
             single = dw_rate_numeric(AttackParams(protocol, float(xs[k]), float(ys[k])))
-            for field in ("x", "y", "D", "I_AB", "chi_AE", "R_DW"):
+            for field in ("x", "y", "D", "I_AB", "chi_AE", "R_DW", "identity_residual"):
                 assert abs(getattr(batch, field)[k] - getattr(single, field)) <= 1e-15
 
     def test_one_out_of_domain_point_rejects_the_batch(self):
