@@ -310,13 +310,17 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
     """
     if np.ndim(params.x) != 0:
         raise ValueError("verify_symmetry checks one attack, not a batch")
+    if bases is None:
+        bases = params.protocol.bases
+    if not bases:
+        raise ValueError("verify_symmetry needs at least one basis")
     v = attack_isometry(params)
     f, d = params.fidelity, params.qber
     ff_target = f * math.cos(params.x)
     dd_target = d * math.cos(params.y)
     residuals: dict[tuple[str, str], float] = {}
     outputs: dict[tuple[str, str], float] = {}
-    for basis in bases if bases is not None else params.protocol.bases:
+    for basis in bases:
         fu, du, fv, dv = induced_ancillas(v, basis)
         residuals[(basis, "F_norm")] = max(abs(_norm2(fu) - f), abs(_norm2(fv) - f))
         residuals[(basis, "D_norm")] = max(abs(_norm2(du) - d), abs(_norm2(dv) - d))

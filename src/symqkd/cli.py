@@ -85,8 +85,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
     point, closed = rates.rate_curve(_protocol(args.protocol), args.grid)
     rows = np.column_stack(
         (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))

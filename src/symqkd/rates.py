@@ -202,6 +202,8 @@ def rate_curve(protocol: Protocol, grid: int) -> tuple[RatePoint, np.ndarray]:
     six-state (x up to pi). Returns the batched ``RatePoint`` and the
     closed-form rate of each of its attacks.
     """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     x_hi = math.pi / 2 if protocol is Protocol.BB84 else math.pi
     xs = np.linspace(0.0, x_hi, grid)
     if protocol is Protocol.BB84:

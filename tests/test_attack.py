@@ -284,3 +284,7 @@ class TestVerifySymmetry:
     def test_batch_rejected(self):
         with pytest.raises(ValueError, match="not a batch"):
             verify_symmetry(AttackParams.bb84([0.3, 0.5], [0.4, 0.9]))
+
+    def test_empty_bases_rejected(self):
+        with pytest.raises(ValueError, match="at least one basis"):
+            verify_symmetry(AttackParams.bb84(0.5, 0.9), bases=())

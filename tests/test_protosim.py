@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symqkd import protosim
 from symqkd.attack import AttackParams, attack_isometry
 from symqkd.protosim import (
     BLOCK_ROUNDS,
@@ -92,6 +93,41 @@ class TestRunSimulation:
         result = run_simulation(cfg)
         assert result.estimation_count <= result.sifted_count <= cfg.rounds
         assert result.sift_fraction == result.sifted_count / cfg.rounds
+
+
+def contract_counts(cfg):
+    """(sifted, estimation, estimation errors) drawn straight from the PCG64 contract."""
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random((cfg.rounds, DRAWS_PER_ROUND))
+    n = len(cfg.params.protocol.bases)
+    alice_basis = np.minimum(np.floor(u[:, 1] * n), n - 1)
+    bob_basis = np.minimum(np.floor(u[:, 2] * n), n - 1)
+    kept = alice_basis == bob_basis
+    pick = kept & (u[:, 4] < cfg.estimation_fraction)
+    errors = pick & (u[:, 3] < cfg.params.qber)
+    return int(kept.sum()), int(pick.sum()), int(errors.sum())
+
+
+class TestDrawContract:
+    # A ragged last block, and more blocks than the 2 workers of a 2-core host.
+    ROUNDS = 3 * BLOCK_ROUNDS + 17
+
+    @pytest.mark.parametrize("params", [bb84_at(0.11), six_at(0.2)], ids=["bb84", "six-state"])
+    def test_counts_equal_the_contract(self, params):
+        cfg = SimConfig(params=params, rounds=self.ROUNDS, seed=90210)
+        sifted, est, err = contract_counts(cfg)
+        result = run_simulation(cfg)
+        assert result.sifted_count == sifted
+        assert result.estimation_count == est
+        assert result.qber_hat == err / est
+
+    @pytest.mark.parametrize("block_size", [None, 1000])
+    def test_worker_count_never_changes_results(self, monkeypatch, block_size):
+        cfg = SimConfig(params=six_at(0.25), rounds=self.ROUNDS, seed=4242)
+        results = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(protosim, "_available_cpus", lambda cpus=cpus: cpus)
+            results.append(run_simulation(cfg, block_size=block_size))
+        assert results[0] == results[1]
 
 
 class TestRoundBatch:

@@ -24,6 +24,7 @@ from symqkd.rates import (
     general_rate_bb84,
     holevo_information,
     minimize_family_rate,
+    rate_curve,
     von_neumann_entropy,
 )
 from symqkd.smallmat import projector
@@ -273,6 +274,13 @@ class TestBatches:
                 fn(np.array(d))
         with pytest.raises(ValueError):
             general_rate_bb84(np.array(ok + [0.0]), np.array(ok + [math.pi]))
+
+
+class TestRateCurve:
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_grid_below_two_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be at least 2"):
+            rate_curve(Protocol.BB84, grid)
 
 
 class TestThreshold:
