@@ -28,14 +28,24 @@ EXIT_INTERNAL = 3
 VERIFY_TOL = 1e-9
 
 CURVE_COLUMNS = ("x", "y", "D", "I_AB", "chi_AE", "R_DW_numeric", "R_DW_closed", "abs_diff")
+# One curve row as a CSV line, and as the object json.dumps(indent=2) writes
+# inside a list; %r of a finite float is the text json writes for it.
+_CSV_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS))
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in CURVE_COLUMNS) + "\n  }"
 
 log = logging.getLogger("symqkd")
 
 
 def _setup_logging() -> None:
+    """Apply this call's QKD_LOG and current sys.stderr, replacing any earlier call's handler."""
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     level = levels.get(os.environ.get("QKD_LOG", "error").strip().lower(), logging.ERROR)
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    for old in log.handlers[:]:
+        log.removeHandler(old)
+    log.addHandler(handler)
+    log.setLevel(level)
 
 
 def _fmt(value: float) -> str:
@@ -85,18 +95,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    """Print the rate curve as CSV or JSON.
+
+    Every cell is printed once with %.12g. JSON carries those same cells read
+    back as floats, so one formatting pass over the table serves both formats
+    and they hold identical numbers. Every cell is finite: the library rejects
+    non-finite angles and matrices before a rate exists.
+    """
     point, closed = rates.rate_curve(_protocol(args.protocol), args.grid)
-    rows = np.column_stack(
+    table = np.column_stack(
         (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
-    ).tolist()
-    log.info("curve: %d points, max |numeric - closed| = %s", len(rows), _fmt(max(row[-1] for row in rows)))
+    )
+    n = len(table)
+    log.info("curve: %d points, max |numeric - closed| = %s", n, _fmt(table[:, -1].max()))
+    body = "\n".join([_CSV_ROW] * n) % tuple(table.ravel().tolist())
     if args.format == "csv":
-        lines = [",".join(CURVE_COLUMNS)]
-        lines += [",".join(_fmt(value) for value in row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(",".join(CURVE_COLUMNS) + "\n" + body + "\n", args.out)
     else:
-        payload = [dict(zip(CURVE_COLUMNS, map(_round12, row))) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        cells = tuple(map(float, body.replace("\n", ",").split(",")))
+        _emit("[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n", args.out)
     return EXIT_OK
 
 

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+
+import numpy as np
+import pytest
+
+from symqkd import cli, rates
+from symqkd.states import Protocol
 
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
@@ -93,6 +101,21 @@ class TestCurve:
         keys = tuple(payload[0])
         assert keys == tuple(self.HEADER.split(","))
         assert all(tuple(row) == keys for row in payload)
+
+    @pytest.mark.parametrize("grid", [2, 3, 200])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_output_pinned_to_stdlib_formatting(self, protocol, grid, capsys):
+        """Every CSV cell is format(v, ".12g"); JSON is json.dumps of those cells read back."""
+        point, closed = rates.rate_curve(protocol, grid)
+        table = np.column_stack(
+            (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
+        ).tolist()
+        csv = [self.HEADER] + [",".join(format(v, ".12g") for v in row) for row in table]
+        payload = [dict(zip(cli.CURVE_COLUMNS, (float(format(v, ".12g")) for v in row))) for row in table]
+        for fmt, expected in (("csv", "\n".join(csv) + "\n"), ("json", json.dumps(payload, indent=2) + "\n")):
+            argv = ["curve", "--protocol", protocol.value, "--grid", str(grid), "--format", fmt]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == expected
 
     def test_unwritable_path_is_io_failure(self):
         cp = run_cli("curve", "--protocol", "bb84", "--grid", "3", "--out", "/nonexistent/dir/x.csv")
@@ -189,3 +212,13 @@ class TestEnvironment:
         assert cp.returncode == 0
         assert "INFO" in cp.stderr
         assert cp.stdout.splitlines()[0] == TestCurve.HEADER
+
+    def test_each_in_process_call_applies_its_own_log_level_and_stderr(self, monkeypatch):
+        monkeypatch.delenv("QKD_LOG", raising=False)
+        with contextlib.redirect_stderr(io.StringIO()) as first:
+            assert cli.main(["threshold", "--protocol", "bb84"]) == 0
+        monkeypatch.setenv("QKD_LOG", "info")
+        with contextlib.redirect_stderr(io.StringIO()) as second:
+            assert cli.main(["threshold", "--protocol", "bb84"]) == 0
+        assert first.getvalue() == ""
+        assert second.getvalue().startswith("INFO symqkd: bisection converged in ")
