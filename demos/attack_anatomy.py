@@ -51,7 +51,7 @@ for (basis, cond), val in report.residuals.items():
 
 print()
 print("=" * 64)
-print("A BB84 attack with x != y fails in the Y basis")
+print("A BB84 attack with y != pi/2 fails in the Y basis")
 print("=" * 64)
 lopsided = AttackParams.bb84(0.7, 1.5)
 y_report = verify_symmetry(lopsided, bases=("Y",))

@@ -33,5 +33,3 @@ print(f"-> sift fraction {result6.sift_fraction:.5f} vs 1/3 "
 print("reproducibility: rerunning with the same seed ...")
 again = run_simulation(cfg)
 print(f"  identical results: {again == result}")
-print("  and block-partitioned execution changes nothing:",
-      run_simulation(cfg, block_size=12345) == result)

@@ -23,7 +23,8 @@ On Bob's side the attack acts as a uniform contraction,
 rho_B(u) = F |u><u| + D |u+1><u+1|; Eve holds the complementary output
 rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions are computed here, and
 ``verify_symmetry`` reports in one ``ConditionReport`` the residual of every
-symmetry condition in any basis, these two output forms included.
+symmetry condition in any basis, these two output forms included, for one
+attack or for every attack of a batch.
 """
 
 from __future__ import annotations
@@ -166,10 +167,6 @@ def ancilla_states(params: AttackParams) -> AncillaQuad:
     return AncillaQuad(F0=q[..., 0, :], D0=q[..., 1, :], F1=q[..., 2, :], D1=q[..., 3, :])
 
 
-def _norm2(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
-
-
 def build_isometry(quad: AncillaQuad) -> np.ndarray:
     """Assemble the 8x2 isometry (an (..., 8, 2) stack for a batch) from an ancilla quad.
 
@@ -248,25 +245,43 @@ def eve_average(v: np.ndarray, basis: str) -> np.ndarray:
     return 0.5 * (eve_state(v, u0) + eve_state(v, u1))
 
 
-def branch_states(v: np.ndarray, basis: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Average of the normalized branch vectors, per branch.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> along the last axis, one value per attack of a batch.
+
+    A stacked (1, n) @ (n, 1) matmul hands each pair to the dot kernel that
+    np.vdot uses, so one attack's residuals keep every bit they had;
+    einsum or (a.conj() * b).sum(-1) sum in another order and move printed
+    digits.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """||m||_F of each matrix of a stack, summed as np.linalg.norm sums one matrix.
+
+    np.linalg.norm(m, axis=(-2, -1)) sums in another order and differs in
+    the last bit for about one generic matrix in five.
+    """
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
+
+
+def branch_states(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Average of the normalized branch vectors, per branch and per attack.
 
     Returns (rho_F, rho_D): the equal mixture of the normalized
-    undisturbed-branch ancillas and of the flipped-branch ones. A branch of
-    weight below 1e-15 carries no probability and is returned as None (its
+    undisturbed-branch ancillas and of the flipped-branch ones, as (..., 4, 4)
+    stacks for an (..., 8, 2) isometry stack. A branch of weight at most
+    1e-15 carries no probability and comes back as the zero matrix (its
     entropy contribution is zero).
     """
-    if np.ndim(v) != 2:
-        raise ValueError("branch states are defined for one attack, not a batch")
     fu, du, fv, dv = induced_ancillas(v, basis)
-
-    def _avg(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        w = 0.5 * (_norm2(a) + _norm2(b))
-        if w <= _ZERO_BRANCH:
-            return None
-        return (projector(a) + projector(b)) / (2.0 * w)
-
-    return _avg(fu, fv), _avg(du, dv)
+    out = []
+    for a, b in ((fu, fv), (du, dv)):
+        w = (0.5 * (_dot(a, a).real + _dot(b, b).real))[..., None, None]
+        live = w > _ZERO_BRANCH
+        out.append(np.where(live, (projector(a) + projector(b)) / (2.0 * np.where(live, w, 1.0)), 0.0))
+    return out[0], out[1]
 
 
 # Per-state conditions (each signal state separately) and pairwise ones
@@ -277,65 +292,70 @@ ANGLE_CONDITIONS = ("FF_overlap", "DD_overlap", "FD_cross")
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Max absolute residual of every symmetry condition, keyed (basis, condition)."""
+    """Absolute residual of every symmetry condition, keyed (basis, condition).
 
-    residuals: dict[tuple[str, str], float]
+    Each value is a float for one attack and an array with one entry per
+    attack for a batch; the maxima below run over every key and every attack.
+    """
+
+    residuals: dict[tuple[str, str], float | np.ndarray]
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(max(np.max(r) for r in self.residuals.values()))
 
     def within(self, tol: float) -> bool:
         return self.max_residual <= tol
 
     def max_over(self, conditions: tuple[str, ...], bases: tuple[str, ...] | None = None) -> float:
         vals = [
-            r
+            np.max(r)
             for (b, c), r in self.residuals.items()
             if c in conditions and (bases is None or b in bases)
         ]
-        return max(vals)
+        return float(max(vals))
 
 
 def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) -> ConditionReport:
-    """Evaluate every symmetry condition of one attack, basis by basis.
+    """Evaluate every symmetry condition of an attack, or of each attack of a batch.
 
     By default the protocol's own bases are checked; passing ``bases``
     overrides this, e.g. to probe a BB84 attack in the Y basis (where the
-    conditions fail unless y = pi/2). Besides the ancilla conditions, each
-    basis gets the distance of Bob's state from the uniform contraction
-    (``channel_contraction``) and of Eve's from the complementary output
-    (``complementary_output``); these rows follow the ancilla rows of all
-    bases.
+    conditions fail unless y = pi/2 or x = 0). Besides the ancilla
+    conditions, each basis gets the distance of Bob's state from the uniform
+    contraction (``channel_contraction``) and of Eve's from the
+    complementary output (``complementary_output``); these rows follow the
+    ancilla rows of all bases. Each row is the larger residual of the
+    basis's two states, per attack: a float for one attack, an array shaped
+    like the angles for a batch.
     """
-    if np.ndim(params.x) != 0:
-        raise ValueError("verify_symmetry checks one attack, not a batch")
     if bases is None:
         bases = params.protocol.bases
     if not bases:
         raise ValueError("verify_symmetry needs at least one basis")
     v = attack_isometry(params)
-    f, d = params.fidelity, params.qber
-    ff_target = f * math.cos(params.x)
-    dd_target = d * math.cos(params.y)
-    residuals: dict[tuple[str, str], float] = {}
-    outputs: dict[tuple[str, str], float] = {}
+    f, d = np.asarray(params.fidelity), np.asarray(params.qber)
+    ff_target = f * np.cos(params.x)
+    dd_target = d * np.cos(params.y)
+    f_mat, d_mat = f[..., None, None], d[..., None, None]  # weights of (..., 2, 2) stacks
+    residuals: dict[tuple[str, str], np.ndarray] = {}
+    outputs: dict[tuple[str, str], np.ndarray] = {}
     for basis in bases:
         fu, du, fv, dv = induced_ancillas(v, basis)
-        residuals[(basis, "F_norm")] = max(abs(_norm2(fu) - f), abs(_norm2(fv) - f))
-        residuals[(basis, "D_norm")] = max(abs(_norm2(du) - d), abs(_norm2(dv) - d))
-        residuals[(basis, "FD_ortho")] = max(abs(np.vdot(fu, du)), abs(np.vdot(fv, dv)))
-        residuals[(basis, "FF_overlap")] = abs(np.vdot(fu, fv) - ff_target)
-        residuals[(basis, "DD_overlap")] = abs(np.vdot(du, dv) - dd_target)
-        residuals[(basis, "FD_cross")] = max(abs(np.vdot(fu, dv)), abs(np.vdot(fv, du)))
+        residuals[(basis, "F_norm")] = np.maximum(abs(_dot(fu, fu).real - f), abs(_dot(fv, fv).real - f))
+        residuals[(basis, "D_norm")] = np.maximum(abs(_dot(du, du).real - d), abs(_dot(dv, dv).real - d))
+        residuals[(basis, "FD_ortho")] = np.maximum(abs(_dot(fu, du)), abs(_dot(fv, dv)))
+        residuals[(basis, "FF_overlap")] = abs(_dot(fu, fv) - ff_target)
+        residuals[(basis, "DD_overlap")] = abs(_dot(du, dv) - dd_target)
+        residuals[(basis, "FD_cross")] = np.maximum(abs(_dot(fu, dv)), abs(_dot(fv, du)))
         u0, u1 = basis_labels(basis)
         chan = 0.0
         comp = 0.0
         for u, anc_f, anc_d in ((u0, fu, du), (u1, fv, dv)):
-            target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
-            chan = max(chan, float(np.linalg.norm(bob_state(v, u) - target_b)))
+            target_b = f_mat * projector(state_vector(u)) + d_mat * projector(state_vector(conjugate_flip(u)))
+            chan = np.maximum(chan, _frobenius(bob_state(v, u) - target_b))
             target_e = projector(anc_f) + projector(anc_d)
-            comp = max(comp, float(np.linalg.norm(eve_state(v, u) - target_e)))
+            comp = np.maximum(comp, _frobenius(eve_state(v, u) - target_e))
         outputs[(basis, "channel_contraction")] = chan
         outputs[(basis, "complementary_output")] = comp
-    return ConditionReport(residuals | outputs)
+    return ConditionReport({key: _field(np.asarray(r)) for key, r in (residuals | outputs).items()})

@@ -36,6 +36,7 @@ from .states import basis_labels, basis_of, state_vector
 __all__ = [
     "BLOCK_ROUNDS",
     "DRAWS_PER_ROUND",
+    "ESTIMATION_FRACTION",
     "RNG_NAME",
     "RoundBatch",
     "SimConfig",
@@ -48,9 +49,11 @@ __all__ = [
 
 RNG_NAME = "numpy-pcg64"
 DRAWS_PER_ROUND = 5
-# Rounds per block when the caller sets none: 2^15 rounds draw 1.3 MB of
-# uniforms, which keeps memory flat for any run length. Blocks of 2^14 to
-# 2^18 ran 2^21 rounds in about the same time, 2x faster than one block.
+# Share of the sifted rounds reserved for error estimation.
+ESTIMATION_FRACTION = 0.1
+# Rounds per block: 2^15 rounds draw 1.3 MB of uniforms, which keeps memory
+# flat for any run length. Blocks of 2^14 to 2^18 ran 2^21 rounds in about
+# the same time, 2x faster than one block.
 BLOCK_ROUNDS = 2**15
 
 
@@ -61,7 +64,6 @@ class SimConfig:
     params: AttackParams
     rounds: int
     seed: int
-    estimation_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if np.ndim(self.params.x) != 0:
@@ -70,8 +72,6 @@ class SimConfig:
             raise ValueError("rounds must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not 0.0 < self.estimation_fraction < 1.0:
-            raise ValueError("estimation_fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def simulate_rounds(cfg: SimConfig, start: int, count: int) -> RoundBatch:
     flipped = (outcome < cfg.params.qber).view(np.uint8)
     uniform_bit = (outcome < 0.5).view(np.uint8)
     bob_bit = np.where(kept, alice_bit ^ flipped, uniform_bit)
-    estimation_pick = kept & (u[:, 4] < cfg.estimation_fraction)
+    estimation_pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
     return RoundBatch(
         alice_bit=alice_bit,
         alice_basis=alice_basis,
@@ -148,19 +148,15 @@ def _block_counts(cfg: SimConfig, start: int, count: int) -> tuple[int, int, int
     )
 
 
-def run_simulation(cfg: SimConfig, block_size: int | None = None) -> SimResult:
+def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the whole protocol and return sifted-key statistics.
 
     Deterministic in cfg (including the seed). The rounds are cut into
-    blocks of ``block_size`` (default ``BLOCK_ROUNDS``) that run on one
-    worker thread per available CPU; neither the blocking nor the worker
-    count ever changes the outcome. Memory is bounded by workers x one
-    block for any number of rounds.
+    blocks of ``BLOCK_ROUNDS`` that run on one worker thread per available
+    CPU; neither the blocking nor the worker count ever changes the outcome.
+    Memory is bounded by workers x one block for any number of rounds.
     """
-    block = BLOCK_ROUNDS if block_size is None else int(block_size)
-    if block < 1:
-        raise ValueError("block_size must be positive")
-    starts = range(0, cfg.rounds, block)
+    starts = range(0, cfg.rounds, BLOCK_ROUNDS)
     workers = min(_available_cpus(), len(starts))
     totals = np.zeros(3, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -169,7 +165,7 @@ def run_simulation(cfg: SimConfig, block_size: int | None = None) -> SimResult:
         # with the run length.
         window: deque = deque()
         for start in starts:
-            window.append(pool.submit(_block_counts, cfg, start, min(block, cfg.rounds - start)))
+            window.append(pool.submit(_block_counts, cfg, start, min(BLOCK_ROUNDS, cfg.rounds - start)))
             if len(window) > 2 * workers:
                 totals += window.popleft().result()
         for future in window:

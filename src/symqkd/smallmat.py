@@ -40,9 +40,9 @@ def tensor(a, b) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
-    """Rank-1 projector |v><v| for a 1-D state vector."""
-    vec = _as_complex(v).reshape(-1)
-    return np.outer(vec, vec.conj())
+    """Rank-1 projector |v><v| of a state vector, or of each of a (..., n) stack."""
+    vec = _as_complex(v)
+    return vec[..., :, None] * vec.conj()[..., None, :]
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Signal states, bases, and encoding maps for BB84 and six-state QKD.
+"""Signal states, bases and their bit labels for BB84 and six-state QKD.
 
 Labels are plain strings: bits live in "0"/"1" (Z), "+"/"-" (X) and
 "R"/"L" (Y). BB84 uses the Z and X bases only; the six-state protocol adds
@@ -18,8 +18,6 @@ __all__ = [
     "basis_labels",
     "basis_of",
     "conjugate_flip",
-    "decode",
-    "encode",
     "state_vector",
 ]
 
@@ -85,21 +83,3 @@ def conjugate_flip(u: str) -> str:
     """The orthogonal partner within the same basis: 0<->1, +<->-, R<->L."""
     return _FLIP[_check_label(u)]
 
-
-def encode(bit: int, basis: str, protocol: Protocol | None = None) -> str:
-    """Map a logical bit to its signal label in the given basis.
-
-    When a protocol is supplied, bases outside its set are rejected
-    (e.g. Y under BB84).
-    """
-    _check_basis(basis)
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if protocol is not None and basis not in protocol.bases:
-        raise ValueError(f"basis {basis!r} is not available in {protocol.value}")
-    return _BASIS_LABELS[basis][bit]
-
-
-def decode(u: str) -> int:
-    """Logical bit carried by a signal label."""
-    return _BASIS_LABELS[basis_of(u)].index(_check_label(u))

@@ -87,8 +87,8 @@ def test_criterion_4_symmetry_condition_suite():
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)
         worst = max(worst, verify_symmetry(AttackParams.bb84(float(x), float(y))).max_residual)
         worst = max(worst, verify_symmetry(AttackParams.six_state(float(x))).max_residual)
-    # A BB84 attack with x != y is not six-state symmetric: its per-state
-    # conditions must visibly fail in the Y basis.
+    # A BB84 attack is six-state symmetric only on the line y = pi/2 (and at
+    # x = 0); off it, its per-state conditions visibly fail in the Y basis.
     violations = []
     for _ in range(50):
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)

@@ -242,15 +242,10 @@ class TestBranchStates:
         np.testing.assert_allclose(hermitian_eigenvalues(rho_f), [0.75, 0.25, 0, 0], atol=1e-10)
         np.testing.assert_allclose(hermitian_eigenvalues(rho_d), [0.75, 0.25, 0, 0], atol=1e-10)
 
-    def test_zero_weight_branch_is_none(self):
+    def test_zero_weight_branch_is_zero_matrix(self):
         rho_f, rho_d = branch_states(attack_isometry(AttackParams.bb84(0.0, 0.0)), "Z")
-        assert rho_d is None
+        assert np.array_equal(rho_d, np.zeros((4, 4)))
         assert abs(np.trace(rho_f) - 1.0) <= 1e-12
-
-    def test_batch_rejected(self):
-        v = attack_isometry(AttackParams.bb84([0.3, 0.5], [0.4, 0.9]))
-        with pytest.raises(ValueError, match="not a batch"):
-            branch_states(v, "Z")
 
     def test_average_state_decomposes_over_branches(self):
         params = AttackParams.six_state(1.3)
@@ -281,10 +276,92 @@ class TestVerifySymmetry:
         assert set(c for _, c in report.residuals) == set(BASE_CONDITIONS + ANGLE_CONDITIONS)
         assert report.within(1e-12)
 
-    def test_batch_rejected(self):
-        with pytest.raises(ValueError, match="not a batch"):
-            verify_symmetry(AttackParams.bb84([0.3, 0.5], [0.4, 0.9]))
+    def test_batch_rows_equal_single_attack_results(self):
+        # Random angles plus the edges, a zero-weight flip branch (x = y = 0)
+        # and the Y basis, where BB84 residuals are far from round-off.
+        rng = np.random.default_rng(6021)
+        edges = [0.0, 1e-9, math.pi / 2, 2.5, math.pi]
+        xs = np.concatenate([rng.uniform(0, math.pi, 40), edges, [0.0, 0.7]])
+        ys = np.concatenate([rng.uniform(0, math.pi, 40), edges[::-1], [0.0, 1.5]])
+        keep = np.abs(2 - np.cos(xs) + np.cos(ys)) > 1e-3
+        batches = [AttackParams.bb84(xs[keep], ys[keep]), AttackParams.six_state(xs)]
+        for batch in batches:
+            report = verify_symmetry(batch, bases=("Z", "X", "Y"))
+            rho_f, rho_d = branch_states(attack_isometry(batch), "X")
+            for i, (x, y) in enumerate(zip(batch.x, batch.y)):
+                one = AttackParams(batch.protocol, float(x), float(y))
+                for key, value in verify_symmetry(one, bases=("Z", "X", "Y")).residuals.items():
+                    assert type(value) is float
+                    assert report.residuals[key][i] == value, (key, x, y)
+                one_f, one_d = branch_states(attack_isometry(one), "X")
+                assert np.array_equal(rho_f[i], one_f) and np.array_equal(rho_d[i], one_d)
+
+    def test_single_attack_rows_keep_vdot_and_norm_arithmetic(self):
+        # verify prints these round-off residuals to 12 digits, so they must
+        # come out of the same sums as np.vdot and np.linalg.norm, bit for bit.
+        for params in random_bb84_draws(40) + [AttackParams.six_state(0.8)]:
+            v = attack_isometry(params)
+            report = verify_symmetry(params, bases=("Z", "X", "Y"))
+            f, d = params.fidelity, params.qber
+            for basis in ("Z", "X", "Y"):
+                fu, du, fv, dv = induced_ancillas(v, basis)
+                norm_f = max(abs(np.vdot(a, a).real - f) for a in (fu, fv))
+                assert report.residuals[(basis, "F_norm")] == norm_f
+                assert report.residuals[(basis, "FF_overlap")] == abs(np.vdot(fu, fv) - f * np.cos(params.x))
+                chan = comp = 0.0
+                for u, anc_f, anc_d in zip(basis_labels(basis), (fu, fv), (du, dv)):
+                    target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
+                    chan = max(chan, np.linalg.norm(bob_state(v, u) - target_b))
+                    comp = max(comp, np.linalg.norm(eve_state(v, u) - (projector(anc_f) + projector(anc_d))))
+                assert report.residuals[(basis, "channel_contraction")] == chan
+                assert report.residuals[(basis, "complementary_output")] == comp
 
     def test_empty_bases_rejected(self):
         with pytest.raises(ValueError, match="at least one basis"):
             verify_symmetry(AttackParams.bb84(0.5, 0.9), bases=())
+
+
+def _accepted_bb84(x, y):
+    try:
+        AttackParams.bb84(x, y)
+    except ValueError:
+        return False
+    return True
+
+
+class TestWholeDomain:
+    """The paper's claim on a 121 x 121 grid over [0, pi]^2, edges included."""
+
+    GRID = np.linspace(0.0, math.pi, 121)
+
+    @pytest.fixture(scope="class")
+    def bb84_grid(self):
+        xs, ys = np.meshgrid(self.GRID, self.GRID, indexing="ij")
+        keep = np.array([_accepted_bb84(float(x), float(y)) for x, y in zip(xs.flat, ys.flat)])
+        return AttackParams.bb84(xs.ravel()[keep], ys.ravel()[keep])
+
+    def test_grid_drops_only_points_on_the_y_equals_pi_edge(self, bb84_grid):
+        # There D = (1 - cos x)/(1 - cos x) is 1 in exact arithmetic, and
+        # (0, pi) has a vanishing denominator.
+        assert np.count_nonzero(bb84_grid.y < math.pi) == 120 * 121
+        assert bb84_grid.x.size < 121 * 121
+
+    def test_bb84_conditions_hold_everywhere(self, bb84_grid):
+        assert verify_symmetry(bb84_grid).within(1e-12)
+
+    def test_six_state_conditions_hold_everywhere(self):
+        report = verify_symmetry(AttackParams.six_state(self.GRID))
+        assert set(b for b, _ in report.residuals) == {"Z", "X", "Y"}
+        assert report.within(1e-12)
+
+    def test_bb84_y_basis_holds_only_on_the_six_state_line(self, bb84_grid):
+        # BB84(x, pi/2) is the six-state attack for every x, and x = 0 is the
+        # identity channel; everywhere else the Y basis breaks the symmetry.
+        report = verify_symmetry(bb84_grid, bases=("Y",))
+        worst = np.max(np.stack(list(report.residuals.values())), axis=0)
+        x, y = bb84_grid.x, bb84_grid.y
+        on_line = (np.abs(y - math.pi / 2) <= 1e-12) | (x == 0.0)
+        off_line = (x >= 0.05) & (np.abs(y - math.pi / 2) >= 0.05)
+        assert on_line.sum() == 240
+        assert worst[on_line].max() <= 1e-12
+        assert worst[off_line].min() > 1e-5

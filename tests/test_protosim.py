@@ -8,6 +8,7 @@ from symqkd.attack import AttackParams, attack_isometry
 from symqkd.protosim import (
     BLOCK_ROUNDS,
     DRAWS_PER_ROUND,
+    ESTIMATION_FRACTION,
     RNG_NAME,
     SimConfig,
     mismatch_outcome_check,
@@ -40,10 +41,6 @@ class TestConfig:
             SimConfig(params=params, rounds=10, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(params=params, rounds=10, seed=2**64)
-        with pytest.raises(ValueError):
-            SimConfig(params=params, rounds=10, seed=1, estimation_fraction=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(params=params, rounds=10, seed=1, estimation_fraction=1.0)
         with pytest.raises(ValueError, match="batch"):
             SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
 
@@ -60,15 +57,18 @@ class TestRunSimulation:
         cfg = SimConfig(params=bb84_at(0.1), rounds=50_000, seed=7)
         assert run_simulation(cfg) == run_simulation(cfg)
 
-    def test_block_partitioning_never_changes_results(self):
+    def test_block_partitioning_never_changes_results(self, monkeypatch):
         cfg = SimConfig(params=six_at(0.2), rounds=100_000, seed=13)
         ref = run_simulation(cfg)
         for block in (1000, 7919, 99_999, 100_000):
-            assert run_simulation(cfg, block_size=block) == ref
+            monkeypatch.setattr(protosim, "BLOCK_ROUNDS", block)
+            assert run_simulation(cfg) == ref
 
-    def test_default_blocks_match_one_whole_run_block(self):
+    def test_default_blocks_match_one_whole_run_block(self, monkeypatch):
         cfg = SimConfig(params=bb84_at(0.15), rounds=3 * BLOCK_ROUNDS + 17, seed=2718)
-        assert run_simulation(cfg) == run_simulation(cfg, block_size=cfg.rounds)
+        ref = run_simulation(cfg)
+        monkeypatch.setattr(protosim, "BLOCK_ROUNDS", cfg.rounds)
+        assert run_simulation(cfg) == ref
 
     @pytest.mark.parametrize("seed", [1, 988])
     def test_bb84_statistics_at_one_million_rounds(self, seed):
@@ -102,7 +102,7 @@ def contract_counts(cfg):
     alice_basis = np.minimum(np.floor(u[:, 1] * n), n - 1)
     bob_basis = np.minimum(np.floor(u[:, 2] * n), n - 1)
     kept = alice_basis == bob_basis
-    pick = kept & (u[:, 4] < cfg.estimation_fraction)
+    pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
     errors = pick & (u[:, 3] < cfg.params.qber)
     return int(kept.sum()), int(pick.sum()), int(errors.sum())
 
@@ -120,13 +120,15 @@ class TestDrawContract:
         assert result.estimation_count == est
         assert result.qber_hat == err / est
 
-    @pytest.mark.parametrize("block_size", [None, 1000])
-    def test_worker_count_never_changes_results(self, monkeypatch, block_size):
+    @pytest.mark.parametrize("block_rounds", [None, 1000])
+    def test_worker_count_never_changes_results(self, monkeypatch, block_rounds):
+        if block_rounds is not None:
+            monkeypatch.setattr(protosim, "BLOCK_ROUNDS", block_rounds)
         cfg = SimConfig(params=six_at(0.25), rounds=self.ROUNDS, seed=4242)
         results = []
         for cpus in (1, 4):
             monkeypatch.setattr(protosim, "_available_cpus", lambda cpus=cpus: cpus)
-            results.append(run_simulation(cfg, block_size=block_size))
+            results.append(run_simulation(cfg))
         assert results[0] == results[1]
 
 

@@ -11,8 +11,6 @@ from symqkd.states import (
     basis_labels,
     basis_of,
     conjugate_flip,
-    decode,
-    encode,
     state_vector,
 )
 
@@ -52,21 +50,11 @@ def test_flip_table():
     assert conjugate_flip("R") == "L"
 
 
-@given(st.sampled_from([0, 1]), st.sampled_from(["Z", "X", "Y"]))
-def test_encode_decode_roundtrip(bit, basis):
-    assert decode(encode(bit, basis)) == bit
-
-
 def test_encoding_table():
-    assert encode(0, "Z") == "0"
-    assert encode(1, "X") == "-"
-    assert encode(0, "Y") == "R"
-
-
-def test_y_basis_rejected_under_bb84():
-    with pytest.raises(ValueError):
-        encode(0, "Y", Protocol.BB84)
-    assert encode(0, "Y", Protocol.SIX_STATE) == "R"
+    # basis_labels(basis)[bit] is the label that carries a bit.
+    assert basis_labels("Z")[0] == "0"
+    assert basis_labels("X")[1] == "-"
+    assert basis_labels("Y")[0] == "R"
 
 
 def test_unknown_inputs_rejected():
@@ -75,7 +63,7 @@ def test_unknown_inputs_rejected():
     with pytest.raises(ValueError):
         basis_labels("W")
     with pytest.raises(ValueError):
-        encode(2, "Z")
+        conjugate_flip("Q")
 
 
 def test_protocol_basis_sets():
@@ -90,4 +78,4 @@ def test_serialized_labels_are_the_wire_format():
     assert set(ALL_LABELS) == set("01+-RL")
     for basis in ("Z", "X", "Y"):
         u0, u1 = basis_labels(basis)
-        assert decode(u0) == 0 and decode(u1) == 1
+        assert basis_of(u0) == basis_of(u1) == basis
