@@ -35,6 +35,18 @@ def random_bb84_draws(n, seed=1148):
     return [AttackParams.bb84(*rng.uniform(0.1, math.pi - 0.1, size=2)) for _ in range(n)]
 
 
+def edge_batches():
+    """A BB84 and a six-state batch: random angles plus the edges, a
+    zero-weight flip branch (x = y = 0) and BB84 angles whose Y-basis
+    residuals are far from round-off."""
+    rng = np.random.default_rng(6021)
+    edges = [0.0, 1e-9, math.pi / 2, 2.5, math.pi]
+    xs = np.concatenate([rng.uniform(0, math.pi, 40), edges, [0.0, 0.7]])
+    ys = np.concatenate([rng.uniform(0, math.pi, 40), edges[::-1], [0.0, 1.5]])
+    keep = np.abs(2 - np.cos(xs) + np.cos(ys)) > 1e-3
+    return [AttackParams.bb84(xs[keep], ys[keep]), AttackParams.six_state(xs)]
+
+
 class TestQber:
     def test_zero_disturbance_for_any_y(self):
         for y in (0.0, 0.4, 1.3, 3.0):
@@ -247,6 +259,14 @@ class TestBranchStates:
         assert np.array_equal(rho_d, np.zeros((4, 4)))
         assert abs(np.trace(rho_f) - 1.0) <= 1e-12
 
+    def test_batch_rows_equal_single_attack_results(self):
+        for batch in edge_batches():
+            rho_f, rho_d = branch_states(attack_isometry(batch), "X")
+            for i, (x, y) in enumerate(zip(batch.x, batch.y)):
+                one = AttackParams(batch.protocol, float(x), float(y))
+                one_f, one_d = branch_states(attack_isometry(one), "X")
+                assert np.array_equal(rho_f[i], one_f) and np.array_equal(rho_d[i], one_d)
+
     def test_average_state_decomposes_over_branches(self):
         params = AttackParams.six_state(1.3)
         v = attack_isometry(params)
@@ -277,24 +297,13 @@ class TestVerifySymmetry:
         assert report.within(1e-12)
 
     def test_batch_rows_equal_single_attack_results(self):
-        # Random angles plus the edges, a zero-weight flip branch (x = y = 0)
-        # and the Y basis, where BB84 residuals are far from round-off.
-        rng = np.random.default_rng(6021)
-        edges = [0.0, 1e-9, math.pi / 2, 2.5, math.pi]
-        xs = np.concatenate([rng.uniform(0, math.pi, 40), edges, [0.0, 0.7]])
-        ys = np.concatenate([rng.uniform(0, math.pi, 40), edges[::-1], [0.0, 1.5]])
-        keep = np.abs(2 - np.cos(xs) + np.cos(ys)) > 1e-3
-        batches = [AttackParams.bb84(xs[keep], ys[keep]), AttackParams.six_state(xs)]
-        for batch in batches:
+        for batch in edge_batches():
             report = verify_symmetry(batch, bases=("Z", "X", "Y"))
-            rho_f, rho_d = branch_states(attack_isometry(batch), "X")
             for i, (x, y) in enumerate(zip(batch.x, batch.y)):
                 one = AttackParams(batch.protocol, float(x), float(y))
                 for key, value in verify_symmetry(one, bases=("Z", "X", "Y")).residuals.items():
                     assert type(value) is float
                     assert report.residuals[key][i] == value, (key, x, y)
-                one_f, one_d = branch_states(attack_isometry(one), "X")
-                assert np.array_equal(rho_f[i], one_f) and np.array_equal(rho_d[i], one_d)
 
     def test_single_attack_rows_keep_vdot_and_norm_arithmetic(self):
         # verify prints these round-off residuals to 12 digits, so they must
