@@ -5,11 +5,15 @@ the outcome to an exit code; it computes no physics of its own. Results go
 to stdout or --out; diagnostics go to stderr, gated by the QKD_LOG
 environment variable (error|info|debug). Exit codes: 0 success, 1 I/O
 failure, 2 invalid arguments or domain, 3 internal verification failure.
+
+The argument parser is built on the first main() call and reused by every
+later main() call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -56,12 +60,8 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-def _protocol(name: str) -> Protocol:
-    return Protocol(name)
-
-
 def _attack_params(args: argparse.Namespace) -> attack.AttackParams:
-    protocol = _protocol(args.protocol)
+    protocol = Protocol(args.protocol)
     if args.y is not None:
         return attack.AttackParams(protocol, args.x, args.y)
     if protocol is Protocol.SIX_STATE:
@@ -102,7 +102,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     and they hold identical numbers. Every cell is finite: the library rejects
     non-finite angles and matrices before a rate exists.
     """
-    point, closed = rates.rate_curve(_protocol(args.protocol), args.grid)
+    point, closed = rates.rate_curve(Protocol(args.protocol), args.grid)
     table = np.column_stack(
         (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
     )
@@ -118,7 +118,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    protocol = _protocol(args.protocol)
+    protocol = Protocol(args.protocol)
     t = rates.find_threshold(protocol)
     log.info("bisection converged in %d iterations", t.iterations)
     print(f"protocol:   {protocol.value}")
@@ -155,7 +155,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process's one shared parser, built on the first call.
+
+    Every main() call parses with this same object, so callers must not
+    mutate it (no add_argument, set_defaults or similar).
+    """
     parser = argparse.ArgumentParser(
         prog="symqkd",
         description="Symmetric collective attacks and Devetak-Winter key rates for BB84 and six-state QKD.",
@@ -163,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_protocol(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--protocol", required=True, choices=["bb84", "six-state"])
+        p.add_argument("--protocol", required=True, choices=[member.value for member in Protocol])
 
     def add_angles(p: argparse.ArgumentParser) -> None:
         p.add_argument("--x", type=float, required=True, help="attack angle x in radians")
@@ -208,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -222,3 +222,26 @@ class TestEnvironment:
             assert cli.main(["threshold", "--protocol", "bb84"]) == 0
         assert first.getvalue() == ""
         assert second.getvalue().startswith("INFO symqkd: bisection converged in ")
+
+    def test_repeated_in_process_calls_match_fresh_processes(self, monkeypatch):
+        """One process's parser serves every call: each call matches a fresh `python -m symqkd`."""
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        monkeypatch.delenv("QKD_LOG", raising=False)
+        calls = [
+            ["verify", "--protocol", "bb84", "--x", "1.0", "--y", "0.5"],
+            ["verify", "--protocol", "bb84", "--x", "1.0"],  # --y must not leak from the call before
+            ["threshold", "--protocol", "b92"],
+            ["curve", "--protocol", "bb84", "--grid", "1"],
+            ["--help"],
+            ["simulate", "--protocol", "six-state", "--x", "0.8", "--rounds", "2000", "--seed", "5"],
+            ["threshold", "--protocol", "bb84"],
+        ]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            fresh = run_cli(*argv)
+            assert (code, out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli.build_parser() is cli.build_parser()
