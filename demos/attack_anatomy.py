@@ -11,10 +11,10 @@ import numpy as np
 
 from symqkd.attack import (
     AttackParams,
-    ancilla_states,
     attack_isometry,
     bob_state,
     eve_state,
+    induced_ancillas,
     verify_symmetry,
 )
 from symqkd.smallmat import hermitian_eigenvalues, is_isometry
@@ -27,12 +27,11 @@ print("=" * 64)
 params = AttackParams.bb84(math.pi / 3, math.pi / 3)
 print(f"fidelity F = {params.fidelity:.6f}, QBER D = {params.qber:.6f}")
 
-quad = ancilla_states(params)
+v = attack_isometry(params)
 print("\nancilla vectors (undisturbed branch / flipped branch):")
-for name, vec in (("F0", quad.F0), ("D0", quad.D0), ("F1", quad.F1), ("D1", quad.D1)):
+for name, vec in zip(("F0", "D0", "F1", "D1"), induced_ancillas(v, "Z")):
     print(f"  {name} = {vec.real}")
 
-v = attack_isometry(params)
 print(f"\nisometry check  V^dag V = I:  {is_isometry(v, 1e-12)}")
 
 print("\nBob's reduced state for input |0>:")

@@ -3,9 +3,9 @@
 The eavesdropper couples every signal qubit to a fresh two-qubit ancilla.
 Demanding that the interaction treat all protocol signal states identically
 (same fidelity, same disturbance, orthogonal branches in every protocol
-basis) leaves a two-angle family of attacks on BB84 and a one-angle family
-on the six-state protocol. The whole interaction is captured by the 8x2
-isometry
+basis) leaves a two-angle family of attacks on BB84, and its one-angle
+member y = pi/2 on the six-state protocol. The whole interaction is
+captured by the 8x2 isometry
 
     V |u> = |u> (x) |F_u>  +  |u+1> (x) |D_u>,    u in {0, 1},
 
@@ -40,19 +40,15 @@ from .states import Protocol, basis_labels, conjugate_flip, state_vector
 __all__ = [
     "ANGLE_CONDITIONS",
     "BASE_CONDITIONS",
-    "AncillaQuad",
     "AttackParams",
     "ConditionReport",
-    "ancilla_states",
     "attack_isometry",
     "bob_state",
     "branch_states",
-    "build_isometry",
     "eve_average",
     "eve_state",
     "induced_ancillas",
     "qber_bb84",
-    "qber_six_state",
     "verify_symmetry",
 ]
 
@@ -71,12 +67,6 @@ def qber_bb84(x, y):
     return (1.0 - cx) / den
 
 
-def qber_six_state(x):
-    """QBER induced by the one-angle six-state attack: (1-cos x)/(2-cos x)."""
-    cx = np.cos(x)
-    return (1.0 - cx) / (2.0 - cx)
-
-
 def _canonical_angle(t) -> np.ndarray:
     """Reduce angles to [0, pi]; rates depend on them only through cos."""
     a = np.asarray(t, dtype=float)
@@ -90,24 +80,34 @@ def _field(a: np.ndarray) -> float | np.ndarray:
     return float(a) if a.ndim == 0 else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackParams:
     """Angles fully determining one symmetric attack, or a batch of them.
 
     x controls the undisturbed-branch overlap, y the flipped-branch one.
     Scalar angles give one attack with float fields; arrays (broadcast
     together) give one attack per element, and every check covers all of
-    them. For the six-state family y is pinned to pi/2, the unique value
-    compatible with symmetry in all three bases; a y within 1e-11 of it is
-    taken as pi/2.
+    them. Angles are reduced to [0, pi]; y defaults per protocol. Domains:
+
+    - BB84: x, y in [0, pi] with QBER in [0, 1); y defaults to x, the
+      rate-minimizing diagonal. The edge y = pi (QBER 1) and the
+      degenerate corner (0, pi) are rejected.
+    - Six-state: x in [0, pi], QBER in [0, 2/3]. y is pi/2, the unique
+      value symmetric in all three bases; a y within 1e-11 of it is taken
+      as pi/2. This is the BB84 attack at y = pi/2, with the same QBER.
+
+    Batches are compared and hashed by identity, not by value.
     """
 
     protocol: Protocol
     x: float | np.ndarray
-    y: float | np.ndarray
+    y: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x, y = np.broadcast_arrays(_canonical_angle(self.x), _canonical_angle(self.y))
+        y = self.y
+        if y is None:
+            y = self.x if self.protocol is Protocol.BB84 else math.pi / 2
+        x, y = np.broadcast_arrays(_canonical_angle(self.x), _canonical_angle(y))
         if self.protocol is Protocol.SIX_STATE:
             if (np.abs(y - math.pi / 2) > _PIN_TOL).any():
                 raise ValueError("six-state attacks require y = pi/2")
@@ -118,45 +118,36 @@ class AttackParams:
         bad = ~((d >= 0.0) & (d < 1.0))
         if bad.any():
             raise ValueError(f"attack angles give QBER {np.asarray(d)[bad].flat[0]}, outside [0, 1)")
+        # On y = pi the QBER is exactly 1; rounding alone must not let an attack through.
+        if (np.cos(y) == -1.0).any():
+            raise ValueError("attack angle y = pi gives QBER 1, outside [0, 1)")
 
     @classmethod
     def bb84(cls, x, y=None) -> "AttackParams":
-        """BB84 attack; y defaults to x (the rate-minimizing diagonal)."""
-        return cls(Protocol.BB84, x, x if y is None else y)
+        return cls(Protocol.BB84, x, y)
 
     @classmethod
     def six_state(cls, x) -> "AttackParams":
-        return cls(Protocol.SIX_STATE, x, math.pi / 2)
+        return cls(Protocol.SIX_STATE, x)
 
     @property
     def qber(self):
-        if self.protocol is Protocol.BB84:
-            return qber_bb84(self.x, self.y)
-        return qber_six_state(self.x)
+        return qber_bb84(self.x, self.y)
 
     @property
     def fidelity(self):
         return 1.0 - self.qber
 
 
-@dataclass(frozen=True)
-class AncillaQuad:
-    """The four ancilla vectors attached to the Z-basis inputs.
+def attack_isometry(params: AttackParams) -> np.ndarray:
+    """Isometry of the attack given by params: 8x2, or an (..., 8, 2) stack for a batch.
 
-    F0/F1 ride the undisturbed branch (norm^2 = fidelity), D0/D1 the
-    flipped branch (norm^2 = QBER). Components are ordered to match the
-    ancilla factor of the isometry and run along the last axis; leading
-    axes index the attacks of a batch.
+    Built from the Z-basis ancillas, rows F0, D0, F1, D1 of a (..., 4, 4)
+    stack that ``induced_ancillas(v, "Z")`` reads back exactly. Their Gram
+    matrix must meet the symmetry constraints (equal branch norms summing
+    to one, orthogonality within and across branches) and V^dag V = I must
+    hold; a violation of either raises.
     """
-
-    F0: np.ndarray
-    D0: np.ndarray
-    F1: np.ndarray
-    D1: np.ndarray
-
-
-def ancilla_states(params: AttackParams) -> AncillaQuad:
-    """Concrete ancilla choice realizing all symmetry conditions."""
     d = params.qber
     sf, sd = np.sqrt(1.0 - d), np.sqrt(d)
     q = np.zeros(np.shape(d) + (4, 4), dtype=complex)  # rows F0, D0, F1, D1
@@ -164,18 +155,7 @@ def ancilla_states(params: AttackParams) -> AncillaQuad:
     q[..., 1, 1] = sd
     q[..., 2, 0], q[..., 2, 3] = sf * np.cos(params.x), sf * np.sin(params.x)
     q[..., 3, 1], q[..., 3, 2] = sd * np.cos(params.y), sd * np.sin(params.y)
-    return AncillaQuad(F0=q[..., 0, :], D0=q[..., 1, :], F1=q[..., 2, :], D1=q[..., 3, :])
-
-
-def build_isometry(quad: AncillaQuad) -> np.ndarray:
-    """Assemble the 8x2 isometry (an (..., 8, 2) stack for a batch) from an ancilla quad.
-
-    Every quad must satisfy the symmetry constraints (equal branch norms
-    summing to one, orthogonality within and across branches); violations
-    are rejected because they would break V^dag V = I.
-    """
-    q = np.stack([quad.F0, quad.D0, quad.F1, quad.D1], axis=-2)
-    g = q.conj() @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>, rows F0, D0, F1, D1
+    g = q.conj() @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>
     nf, nd = g[..., 0, 0].real, g[..., 1, 1].real
     residual = np.max(
         np.abs(
@@ -200,11 +180,6 @@ def build_isometry(quad: AncillaQuad) -> np.ndarray:
     return v
 
 
-def attack_isometry(params: AttackParams) -> np.ndarray:
-    """Isometry of the attack given by params."""
-    return build_isometry(ancilla_states(params))
-
-
 def _output(v: np.ndarray, u: str) -> np.ndarray:
     """V|u> as a (..., 2, 4) array indexed (signal, ancilla)."""
     return (v @ state_vector(u)).reshape(v.shape[:-2] + (2, 4))
@@ -214,8 +189,8 @@ def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray,
     """Decompose the attack in another basis.
 
     Writing V|u> = |u>|F_u> + |u+1>|D_u> for the pair (u, u+1) of the given
-    basis, returns (F_u, D_u, F_u+1, D_u+1). In the Z basis this recovers
-    the stored quad exactly.
+    basis, returns (F_u, D_u, F_u+1, D_u+1). In the Z basis these are the
+    rows F0, D0, F1, D1 that ``attack_isometry`` built, bit for bit.
     """
     u0, u1 = basis_labels(basis)
     out = []
@@ -290,7 +265,7 @@ BASE_CONDITIONS = ("F_norm", "D_norm", "FD_ortho", "channel_contraction", "compl
 ANGLE_CONDITIONS = ("FF_overlap", "DD_overlap", "FD_cross")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Absolute residual of every symmetry condition, keyed (basis, condition).
 

@@ -60,15 +60,6 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-def _attack_params(args: argparse.Namespace) -> attack.AttackParams:
-    protocol = Protocol(args.protocol)
-    if args.y is not None:
-        return attack.AttackParams(protocol, args.x, args.y)
-    if protocol is Protocol.SIX_STATE:
-        return attack.AttackParams.six_state(args.x)
-    return attack.AttackParams.bb84(args.x)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -78,7 +69,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = _attack_params(args)
+    params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
     report = attack.verify_symmetry(params)
     residuals = {f"{b}:{c}": r for (b, c), r in report.residuals.items()}
     residuals["rate_identity"] = rates.dw_rate_numeric(params).identity_residual
@@ -140,7 +131,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _attack_params(args)
+    params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
     cfg = protosim.SimConfig(params=params, rounds=args.rounds, seed=args.seed)
     result = protosim.run_simulation(cfg)
     log.info(

@@ -107,7 +107,7 @@ def holevo_information(rho_avg, rho_u, rho_flip):
     return _holevo(rho_avg, rho_u, rho_flip)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatePoint:
     """One evaluation of the rate pipeline at fixed attack angles.
 
@@ -204,14 +204,9 @@ def rate_curve(protocol: Protocol, grid: int) -> tuple[RatePoint, np.ndarray]:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    x_hi = math.pi / 2 if protocol is Protocol.BB84 else math.pi
-    xs = np.linspace(0.0, x_hi, grid)
-    if protocol is Protocol.BB84:
-        params = AttackParams.bb84(xs, xs)
-        closed = general_rate_bb84(xs, xs)
-    else:
-        params = AttackParams.six_state(xs)
-        closed = closed_rate_six_state(params.qber)
+    bb84 = protocol is Protocol.BB84
+    params = AttackParams(protocol, np.linspace(0.0, math.pi / 2 if bb84 else math.pi, grid))
+    closed = general_rate_bb84(params.x, params.y) if bb84 else closed_rate_six_state(params.qber)
     return dw_rate_numeric(params), closed
 
 

@@ -6,18 +6,14 @@ import pytest
 from symqkd.attack import (
     ANGLE_CONDITIONS,
     BASE_CONDITIONS,
-    AncillaQuad,
     AttackParams,
-    ancilla_states,
     attack_isometry,
     bob_state,
     branch_states,
-    build_isometry,
     eve_average,
     eve_state,
     induced_ancillas,
     qber_bb84,
-    qber_six_state,
     verify_symmetry,
 )
 from symqkd.smallmat import hermitian_eigenvalues, is_isometry, projector
@@ -55,9 +51,16 @@ class TestQber:
     def test_exact_substitutions(self):
         assert abs(qber_bb84(math.pi / 3, math.pi / 3) - 0.25) <= 1e-15
         assert abs(qber_bb84(math.pi / 2, math.pi / 2) - 0.5) <= 1e-15
-        assert qber_six_state(0.0) == 0.0
-        assert abs(qber_six_state(math.pi / 3) - 1 / 3) <= 1e-15
-        assert abs(qber_six_state(math.pi / 2) - 0.5) <= 1e-15
+        assert AttackParams.six_state(0.0).qber == 0.0
+        assert abs(AttackParams.six_state(math.pi / 3).qber - 1 / 3) <= 1e-15
+        assert abs(AttackParams.six_state(math.pi / 2).qber - 0.5) <= 1e-15
+
+    def test_six_state_is_the_one_angle_formula_bit_for_bit(self):
+        # cos(pi/2) is below half an ulp of 2 - cos x, so the BB84 formula at
+        # y = pi/2 rounds to (1 - cos x)/(2 - cos x) exactly.
+        xs = np.linspace(0.0, math.pi, 200_001)
+        cx = np.cos(xs)
+        assert np.array_equal(AttackParams.six_state(xs).qber, (1.0 - cx) / (2.0 - cx))
 
     def test_degenerate_denominator_guarded(self):
         with pytest.raises(ValueError):
@@ -83,10 +86,22 @@ class TestAttackParams:
             with pytest.raises(ValueError, match="pi/2"):
                 AttackParams(Protocol.SIX_STATE, 1.0, y)
 
+    def test_y_defaults_per_protocol_on_batches(self):
+        xs = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(AttackParams(Protocol.BB84, xs).y, xs)
+        assert np.array_equal(AttackParams(Protocol.SIX_STATE, xs).y, np.full(7, math.pi / 2))
+
     def test_unit_qber_rejected(self):
         # x = y = pi drives the flip weight to exactly 1.
         with pytest.raises(ValueError):
             AttackParams.bb84(math.pi, math.pi)
+
+    def test_batches_compare_and_hash_by_identity(self):
+        batch = AttackParams.bb84([0.3, 0.5])
+        report = verify_symmetry(batch)
+        for obj in (batch, report):
+            assert obj == obj
+            hash(obj)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -97,24 +112,29 @@ class TestAttackParams:
         assert p.fidelity + p.qber == 1.0
 
 
+def z_ancillas(params):
+    """(F0, D0, F1, D1): the Z-basis ancillas of the attack's isometry."""
+    return induced_ancillas(attack_isometry(params), "Z")
+
+
 class TestAncillaStates:
     def test_noiseless_attack(self):
-        q = ancilla_states(AttackParams.bb84(0.0, 0.0))
-        np.testing.assert_array_equal(q.F0, [1, 0, 0, 0])
-        np.testing.assert_array_equal(q.F1, [1, 0, 0, 0])
-        np.testing.assert_array_equal(q.D0, [0, 0, 0, 0])
-        np.testing.assert_array_equal(q.D1, [0, 0, 0, 0])
+        f0, d0, f1, d1 = z_ancillas(AttackParams.bb84(0.0, 0.0))
+        np.testing.assert_array_equal(f0, [1, 0, 0, 0])
+        np.testing.assert_array_equal(f1, [1, 0, 0, 0])
+        np.testing.assert_array_equal(d0, [0, 0, 0, 0])
+        np.testing.assert_array_equal(d1, [0, 0, 0, 0])
 
     def test_bb84_components_at_equal_angles(self):
-        q = ancilla_states(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        _, d0, f1, _ = z_ancillas(AttackParams.bb84(math.pi / 3, math.pi / 3))
         sf = math.sqrt(0.75)
-        np.testing.assert_allclose(q.F1, [sf * 0.5, 0, 0, sf * math.sqrt(3) / 2], atol=1e-12)
-        np.testing.assert_allclose(q.D0, [0, 0.5, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(f1, [sf * 0.5, 0, 0, sf * math.sqrt(3) / 2], atol=1e-12)
+        np.testing.assert_allclose(d0, [0, 0.5, 0, 0], atol=1e-12)
 
     def test_six_state_orthogonal_flip_ancillas(self):
-        q = ancilla_states(AttackParams.six_state(math.pi / 3))
-        np.testing.assert_allclose(q.D1, [0, 0, 0.5773502691896258, 0], atol=1e-12)
-        assert abs(np.vdot(q.D0, q.D1)) <= 1e-15
+        _, d0, _, d1 = z_ancillas(AttackParams.six_state(math.pi / 3))
+        np.testing.assert_allclose(d1, [0, 0, 0.5773502691896258, 0], atol=1e-12)
+        assert abs(np.vdot(d0, d1)) <= 1e-15
 
 
 class TestBuildIsometry:
@@ -133,21 +153,8 @@ class TestBuildIsometry:
     def test_isometry_property(self, params):
         assert is_isometry(attack_isometry(params), 1e-12)
 
-    def test_invariant_violating_quad_rejected(self):
-        q = ancilla_states(AttackParams.bb84(0.7, 1.1))
-        bad = AncillaQuad(F0=2.0 * q.F0, D0=q.D0, F1=q.F1, D1=q.D1)
-        with pytest.raises(ValueError):
-            build_isometry(bad)
-
 
 class TestInducedAncillas:
-    def test_z_basis_recovers_stored_quad_exactly(self):
-        params = AttackParams.bb84(0.8, 0.3)
-        q = ancilla_states(params)
-        fu, du, fv, dv = induced_ancillas(attack_isometry(params), "Z")
-        assert np.array_equal(fu, q.F0) and np.array_equal(du, q.D0)
-        assert np.array_equal(fv, q.F1) and np.array_equal(dv, q.D1)
-
     def test_x_basis_norm_reproduces_qber(self):
         # The X-basis branch weight equaling the fidelity is precisely what
         # fixes D(x, y); check it numerically.
@@ -352,8 +359,8 @@ class TestWholeDomain:
     def test_grid_drops_only_points_on_the_y_equals_pi_edge(self, bb84_grid):
         # There D = (1 - cos x)/(1 - cos x) is 1 in exact arithmetic, and
         # (0, pi) has a vanishing denominator.
+        assert bb84_grid.x.size == 120 * 121
         assert np.count_nonzero(bb84_grid.y < math.pi) == 120 * 121
-        assert bb84_grid.x.size < 121 * 121
 
     def test_bb84_conditions_hold_everywhere(self, bb84_grid):
         assert verify_symmetry(bb84_grid).within(1e-12)

@@ -68,6 +68,12 @@ class TestVerify:
         cp = run_cli("verify", "--protocol", "bb84", "--x", "0.9")
         assert cp.returncode == 0, cp.stderr
 
+    def test_bb84_y_equals_pi_rejected(self):
+        # QBER is 1 on this edge, although (1 - cos x)/(1 - cos x) rounds below 1 here.
+        cp = run_cli("verify", "--protocol", "bb84", "--x", "1.5707963267948966", "--y", "3.141592653589793")
+        assert cp.returncode == 2
+        assert "y = pi" in cp.stderr
+
 
 class TestCurve:
     HEADER = "x,y,D,I_AB,chi_AE,R_DW_numeric,R_DW_closed,abs_diff"

@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="batch"):
             SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
 
+    def test_hashable(self):
+        cfg = SimConfig(params=bb84_at(0.1), rounds=10, seed=1)
+        assert cfg == cfg
+        hash(cfg)
+
 
 class TestRunSimulation:
     def test_noiseless_channel_has_zero_qber(self):

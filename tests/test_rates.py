@@ -11,7 +11,6 @@ from symqkd.attack import (
     branch_states,
     eve_average,
     eve_state,
-    qber_bb84,
 )
 from symqkd.rates import (
     binary_entropy,
@@ -230,20 +229,23 @@ class TestGeneralRate:
         assert abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y)) <= 1e-9
 
     def test_cross_checked_over_the_whole_domain(self):
-        # A 61x61 grid over [0, pi]^2, minus the corner where 2 - cos x + cos y
-        # vanishes and the points whose QBER rounds to 1 (y = pi).
+        # A 61x61 grid over [0, pi]^2 minus the edge y = pi, where QBER is 1
+        # and the corner (0, pi) has a vanishing 2 - cos x + cos y.
         g = np.linspace(0.0, math.pi, 61)
         x, y = (a.ravel() for a in np.meshgrid(g, g))
-        regular = np.abs(2.0 - np.cos(x) + np.cos(y)) >= 1e-12
-        x, y = x[regular], y[regular]
-        attack = qber_bb84(x, y) < 1.0
-        assert attack.sum() >= 60 * 60
+        attack = y < math.pi
+        assert attack.sum() == 60 * 61
         params = AttackParams.bb84(x[attack], y[attack])
         diff = np.abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y))
         assert diff.max() <= 1e-9
 
 
 class TestBatches:
+    def test_batch_point_compares_and_hashes_by_identity(self):
+        point = dw_rate_numeric(AttackParams.bb84([0.3, 0.5]))
+        assert point == point
+        hash(point)
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_each_row_equals_the_single_attack_call(self, protocol):
         rng = np.random.default_rng(8128)
