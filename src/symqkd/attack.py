@@ -30,7 +30,7 @@ attack or for every attack of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,7 +87,8 @@ class AttackParams:
     x controls the undisturbed-branch overlap, y the flipped-branch one.
     Scalar angles give one attack with float fields; arrays (broadcast
     together) give one attack per element, and every check covers all of
-    them. Angles are reduced to [0, pi]; y defaults per protocol. Domains:
+    them. Angles are reduced to [0, pi]; y defaults per protocol. ``qber`` is
+    computed once, on construction, from the reduced angles. Domains:
 
     - BB84: x, y in [0, pi] with QBER in [0, 1); y defaults to x, the
       rate-minimizing diagonal. The edge y = pi (QBER 1) and the
@@ -102,6 +103,7 @@ class AttackParams:
     protocol: Protocol
     x: float | np.ndarray
     y: float | np.ndarray | None = None
+    qber: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         y = self.y
@@ -114,7 +116,8 @@ class AttackParams:
             y = np.full_like(y, math.pi / 2)
         object.__setattr__(self, "x", _field(x))
         object.__setattr__(self, "y", _field(y))
-        d = self.qber
+        d = qber_bb84(self.x, self.y)
+        object.__setattr__(self, "qber", d)
         bad = ~((d >= 0.0) & (d < 1.0))
         if bad.any():
             raise ValueError(f"attack angles give QBER {np.asarray(d)[bad].flat[0]}, outside [0, 1)")
@@ -129,10 +132,6 @@ class AttackParams:
     @classmethod
     def six_state(cls, x) -> "AttackParams":
         return cls(Protocol.SIX_STATE, x)
-
-    @property
-    def qber(self):
-        return qber_bb84(self.x, self.y)
 
     @property
     def fidelity(self):

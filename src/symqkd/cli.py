@@ -4,7 +4,7 @@ The front-end parses arguments, formats what the library computes and maps
 the outcome to an exit code; it computes no physics of its own. Results go
 to stdout or --out; diagnostics go to stderr, gated by the QKD_LOG
 environment variable (error|info|debug). Exit codes: 0 success, 1 I/O
-failure, 2 invalid arguments or domain, 3 internal verification failure.
+failure, 2 invalid arguments, domain or size, 3 internal verification failure.
 
 The argument parser is built on the first main() call and reused by every
 later main() call in the process.
@@ -33,9 +33,9 @@ VERIFY_TOL = 1e-9
 
 CURVE_COLUMNS = ("x", "y", "D", "I_AB", "chi_AE", "R_DW_numeric", "R_DW_closed", "abs_diff")
 # One curve row as a CSV line, and as the object json.dumps(indent=2) writes
-# inside a list; %r of a finite float is the text json writes for it.
+# inside a list, to be filled with the JSON text of each CSV cell.
 _CSV_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS))
-_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in CURVE_COLUMNS) + "\n  }"
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in CURVE_COLUMNS) + "\n  }"
 
 log = logging.getLogger("symqkd")
 
@@ -54,10 +54,6 @@ def _setup_logging() -> None:
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
-
-
-def _round12(value: float) -> float:
-    return float(_fmt(value))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,10 +84,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     """Print the rate curve as CSV or JSON.
 
-    Every cell is printed once with %.12g. JSON carries those same cells read
-    back as floats, so one formatting pass over the table serves both formats
-    and they hold identical numbers. Every cell is finite: the library rejects
-    non-finite angles and matrices before a rate exists.
+    Every cell is printed once with %.12g, and that one pass serves both
+    formats. A JSON value is the repr of the float its cell reads back as:
+    the cell itself (plus '.0' if it has no '.'), re-formed only if it has
+    an exponent. Every cell is finite: the library rejects non-finite values.
     """
     point, closed = rates.rate_curve(Protocol(args.protocol), args.grid)
     table = np.column_stack(
@@ -103,8 +99,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(",".join(CURVE_COLUMNS) + "\n" + body + "\n", args.out)
     else:
-        cells = tuple(map(float, body.replace("\n", ",").split(",")))
-        _emit("[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n", args.out)
+        cells = body.replace("\n", ",").split(",")
+        cells = [repr(float(c)) if "e" in c else c if "." in c else c + ".0" for c in cells]
+        _emit("[\n" + ",\n".join([_JSON_ROW] * n) % tuple(cells) + "\n]\n", args.out)
     return EXIT_OK
 
 
@@ -141,7 +138,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _fmt(result.qber_hat),
     )
     record = protosim.result_record(cfg, result)
-    record = {k: _round12(v) if isinstance(v, float) else v for k, v in record.items()}
+    record = {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in record.items()}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -208,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a --grid too large to allocate
         log.debug("usage error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

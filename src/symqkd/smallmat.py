@@ -81,8 +81,11 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     a = _as_complex(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
-    skew = a - a.conj().swapaxes(-1, -2)
-    if (np.linalg.norm(skew, axis=(-2, -1)) > HERMITIAN_TOL).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    # eigvalsh reads one triangle only; hand it the Hermitian part of m.
-    return np.linalg.eigvalsh(a - 0.5 * skew)[..., ::-1]
+    adjoint = a.conj().swapaxes(-1, -2)
+    # eigvalsh reads one triangle only; hand it the Hermitian part of m (m itself if exactly Hermitian).
+    if not (a == adjoint).all():
+        skew = a - adjoint
+        if (np.linalg.norm(skew, axis=(-2, -1)) > HERMITIAN_TOL).any():
+            raise ValueError("matrix is not Hermitian within tolerance")
+        a = a - 0.5 * skew
+    return np.linalg.eigvalsh(a)[..., ::-1]

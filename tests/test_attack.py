@@ -111,6 +111,12 @@ class TestAttackParams:
         p = AttackParams.bb84(0.9, 1.2)
         assert p.fidelity + p.qber == 1.0
 
+    def test_qber_stored_from_the_reduced_angles(self):
+        batch = AttackParams.bb84([-0.7, 0.4], [2 * math.pi + 1.1, 0.4])
+        assert batch.qber is batch.qber  # computed once, on construction
+        assert np.array_equal(batch.qber, qber_bb84(batch.x, batch.y))
+        assert AttackParams.six_state(1.0).qber == qber_bb84(1.0, math.pi / 2)
+
 
 def z_ancillas(params):
     """(F0, D0, F1, D1): the Z-basis ancillas of the attack's isometry."""

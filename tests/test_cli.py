@@ -108,19 +108,39 @@ class TestCurve:
         assert keys == tuple(self.HEADER.split(","))
         assert all(tuple(row) == keys for row in payload)
 
-    @pytest.mark.parametrize("grid", [2, 3, 200])
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_output_pinned_to_stdlib_formatting(self, protocol, grid, capsys):
+    def stdlib_reference(self, point, closed) -> dict[str, str]:
         """Every CSV cell is format(v, ".12g"); JSON is json.dumps of those cells read back."""
-        point, closed = rates.rate_curve(protocol, grid)
         table = np.column_stack(
             (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
         ).tolist()
         csv = [self.HEADER] + [",".join(format(v, ".12g") for v in row) for row in table]
         payload = [dict(zip(cli.CURVE_COLUMNS, (float(format(v, ".12g")) for v in row))) for row in table]
-        for fmt, expected in (("csv", "\n".join(csv) + "\n"), ("json", json.dumps(payload, indent=2) + "\n")):
+        return {"csv": "\n".join(csv) + "\n", "json": json.dumps(payload, indent=2) + "\n"}
+
+    @pytest.mark.parametrize("grid", [2, 3, 200, 4097])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_output_pinned_to_stdlib_formatting(self, protocol, grid, capsys):
+        for fmt, expected in self.stdlib_reference(*rates.rate_curve(protocol, grid)).items():
             argv = ["curve", "--protocol", protocol.value, "--grid", str(grid), "--format", fmt]
             assert cli.main(argv) == 0
+            assert capsys.readouterr().out == expected
+
+    # Cells on every side of the JSON token rule: integral values ('.0' appended),
+    # 1e-4 and the %.12g exponents just below it, a subnormal and a normal at the
+    # bottom of the range (a subnormal's repr has fewer digits), and values at
+    # and past 1e12, where %.12g switches to an exponent and repr does not.
+    EDGE_CELLS = (
+        0.0, -0.0, 1.0, 2.0, 1e-05, 0.0001, 9.99999999999e-05, 5e-324,
+        2.2250738585072014e-308, 123456789012.0, 1.5e12, 1e16,
+    )
+
+    def test_json_token_rule_on_edge_cells(self, monkeypatch, capsys):
+        k = len(self.EDGE_CELLS)
+        columns = [np.roll(self.EDGE_CELLS, -j) for j in range(7)]  # each cell in every column
+        point = rates.RatePoint(*columns[:6], identity_residual=np.zeros(k))
+        monkeypatch.setattr(rates, "rate_curve", lambda protocol, grid: (point, columns[6]))
+        for fmt, expected in self.stdlib_reference(point, columns[6]).items():
+            assert cli.main(["curve", "--protocol", "bb84", "--grid", str(k), "--format", fmt]) == 0
             assert capsys.readouterr().out == expected
 
     def test_unwritable_path_is_io_failure(self):
@@ -218,6 +238,26 @@ class TestEnvironment:
         assert cp.returncode == 0
         assert "INFO" in cp.stderr
         assert cp.stdout.splitlines()[0] == TestCurve.HEADER
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--protocol", "bb84", "--grid", "1000000000000"],
+            ["minimize", "--d-target", "0.1", "--grid", "1000000000000"],
+        ],
+    )
+    def test_size_too_large_for_memory_exits_two(self, argv, monkeypatch, capsys):
+        """A --grid the machine cannot hold is an invalid argument: one error line, no traceback."""
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.delenv("QKD_LOG", raising=False)
+        monkeypatch.setattr(rates, "rate_curve", out_of_memory)
+        monkeypatch.setattr(rates, "minimize_family_rate", out_of_memory)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_each_in_process_call_applies_its_own_log_level_and_stderr(self, monkeypatch):
         monkeypatch.delenv("QKD_LOG", raising=False)

@@ -326,6 +326,21 @@ class TestMinimizeFamilyRate:
         assert abs(best.y - math.pi / 3) <= 1e-4
         assert abs(best.rate - RATE_BB84_AT_QUARTER) <= 1e-6
 
+    @pytest.mark.parametrize("grid", [2000, 2001, 5000])
+    @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45])
+    def test_resolves_the_diagonal_to_sqrt_eps(self, d, grid):
+        """What the search knows: the argmin to 1e-7, the rate to 1e-12.
+
+        The rate is flat at its minimum, so golden-section search pins the
+        argmin only to about sqrt(eps); the worst measured errors here are
+        1.3e-8 in x, 6e-8 in y and 2.2e-16 in the rate.
+        """
+        best = minimize_family_rate(d, grid)
+        x_star = math.acos(1.0 - 2.0 * d)
+        assert abs(best.x - x_star) <= 1e-7
+        assert abs(best.y - x_star) <= 1e-7
+        assert abs(best.rate - closed_rate_bb84(d)) <= 1e-12
+
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
             minimize_family_rate(0.6, 400)

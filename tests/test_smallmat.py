@@ -131,6 +131,15 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.ones((2, 3)))
 
+    def test_lapack_reads_the_hermitian_part_bit_for_bit(self):
+        """An exactly Hermitian stack goes to eigvalsh as is; a merely close one as m - (m - m^dag)/2."""
+        rng = np.random.default_rng(47)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        assert np.array_equal(hermitian_eigenvalues(stack), np.linalg.eigvalsh(stack)[..., ::-1])
+        stack[3, 2, 0] += 1e-13 + 3e-14j  # within HERMITIAN_TOL
+        herm = stack - 0.5 * (stack - stack.conj().swapaxes(-1, -2))
+        assert np.array_equal(hermitian_eigenvalues(stack), np.linalg.eigvalsh(herm)[..., ::-1])
+
     def test_stack_with_one_non_hermitian_matrix_rejected(self):
         rng = np.random.default_rng(41)
         stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
@@ -161,3 +170,10 @@ class TestIsIsometry:
 
     def test_wide_matrix_never_isometry(self):
         assert not is_isometry(np.ones((2, 4)), 1e-6)
+
+    def test_stack_holds_only_if_every_matrix_does(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_unitary(rng, 8)[:, :2] for _ in range(6)]).reshape(2, 3, 8, 2)
+        assert is_isometry(stack, 1e-12)
+        stack[1, 2, :, 1] *= 1.0 + 1e-9
+        assert not is_isometry(stack, 1e-12)
