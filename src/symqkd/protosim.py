@@ -4,8 +4,10 @@ The simulator samples the classical statistics the channel induces: Bob's
 outcome follows Alice's bit with probability F = 1 - D when the bases
 match, and is uniform when they differ (mutually unbiased bases make every
 mismatched measurement a coin flip; ``mismatch_outcome_check`` verifies
-that shortcut against the actual reduced state). Eve's quantum memory is
-never simulated - her information is bounded analytically.
+that shortcut against the actual reduced state). Neither bit is ever
+formed: sifting drops every mismatched round, and on a kept round Bob's
+bit differs from Alice's exactly when the outcome draw falls below D. Eve's
+quantum memory is never simulated - her information is bounded analytically.
 
 Randomness: numpy's PCG64, with exactly 5 draws consumed per round (bit,
 Alice basis, Bob basis, outcome, estimation pick). Because the stream is
@@ -14,10 +16,10 @@ without changing any result.
 
 Execution: a run is cut into blocks of ``BLOCK_ROUNDS`` (2^15) rounds, and
 the blocks run on a thread pool with one worker per available CPU (numpy
-draws and ufuncs release the GIL). Each worker reduces its block to three
-counts before taking the next, so memory is bounded by workers x one block
-for any number of rounds. Results do not depend on the worker count or the
-blocking.
+draws and ufuncs release the GIL). Each worker reduces its block to the
+counts of three masks before taking the next, so memory is bounded by
+workers x one block for any number of rounds. Results do not depend on the
+worker count or the blocking.
 """
 
 from __future__ import annotations
@@ -85,19 +87,17 @@ class SimResult:
 
 @dataclass(frozen=True)
 class RoundBatch:
-    """Per-round arrays for a contiguous slice of a run.
+    """Per-round masks for a contiguous slice of a run.
 
-    Basis entries index the protocol's basis tuple. ``kept`` marks rounds
-    that survive sifting; ``estimation_pick`` marks the kept rounds
-    reserved for error estimation (the rest form the key).
+    ``kept`` marks rounds whose bases match (they survive sifting);
+    ``estimation_pick`` marks the kept rounds reserved for error estimation
+    (the rest form the key); ``estimation_error`` marks the picked rounds
+    where Bob's bit differs from Alice's.
     """
 
-    alice_bit: np.ndarray
-    alice_basis: np.ndarray
-    bob_basis: np.ndarray
-    bob_bit: np.ndarray
     kept: np.ndarray
     estimation_pick: np.ndarray
+    estimation_error: np.ndarray
 
 
 def _round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -109,26 +109,19 @@ def _round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def simulate_rounds(cfg: SimConfig, start: int, count: int) -> RoundBatch:
-    """Simulate rounds [start, start+count) of the configured run."""
+    """Simulate rounds [start, start+count) of the configured run.
+
+    Bob's bit is never formed: estimation rounds are kept rounds, on which
+    his bit differs from Alice's exactly when the outcome draw is below D.
+    Alice's bit draw is consumed, by the 5-draw contract, but never read.
+    """
     u = _round_uniforms(cfg.seed, start, count)
     n_bases = len(cfg.params.protocol.bases)
-    alice_bit = (u[:, 0] < 0.5).view(np.uint8)
     alice_basis = np.minimum((u[:, 1] * n_bases).astype(np.uint8), n_bases - 1)
     bob_basis = np.minimum((u[:, 2] * n_bases).astype(np.uint8), n_bases - 1)
     kept = alice_basis == bob_basis
-    outcome = u[:, 3]
-    flipped = (outcome < cfg.params.qber).view(np.uint8)
-    uniform_bit = (outcome < 0.5).view(np.uint8)
-    bob_bit = np.where(kept, alice_bit ^ flipped, uniform_bit)
     estimation_pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
-    return RoundBatch(
-        alice_bit=alice_bit,
-        alice_basis=alice_basis,
-        bob_basis=bob_basis,
-        bob_bit=bob_bit,
-        kept=kept,
-        estimation_pick=estimation_pick,
-    )
+    return RoundBatch(kept, estimation_pick, estimation_pick & (u[:, 3] < cfg.params.qber))
 
 
 def _available_cpus() -> int:
@@ -138,14 +131,9 @@ def _available_cpus() -> int:
 
 
 def _block_counts(cfg: SimConfig, start: int, count: int) -> tuple[int, int, int]:
-    """(sifted, estimation, estimation errors) of one block; its arrays die here."""
+    """(sifted, estimation, estimation errors) of one block; its masks die here."""
     batch = simulate_rounds(cfg, start, count)
-    errors = batch.estimation_pick & (batch.bob_bit != batch.alice_bit)
-    return (
-        np.count_nonzero(batch.kept),
-        np.count_nonzero(batch.estimation_pick),
-        np.count_nonzero(errors),
-    )
+    return tuple(np.count_nonzero(mask) for mask in (batch.kept, batch.estimation_pick, batch.estimation_error))
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:

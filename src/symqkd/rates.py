@@ -87,10 +87,7 @@ def von_neumann_entropy(rho):
 
 
 def _holevo(rho_avg, rho_u, rho_flip) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, S(rho_avg)) of equiprobable pairs, all entropies from one eigenvalue call."""
-    rho_avg, rho_u, rho_flip = np.asarray(rho_avg), np.asarray(rho_u), np.asarray(rho_flip)
-    if (np.linalg.norm(rho_avg - 0.5 * (rho_u + rho_flip), axis=(-2, -1)) > _AVG_TOL).any():
-        raise ValueError("rho_avg is not the average of the two ensemble states")
+    """(chi, S(rho_avg)) of equiprobable pairs from one eigenvalue call; rho_avg is not checked."""
     s_avg, s_u, s_flip = von_neumann_entropy(np.stack([rho_avg, rho_u, rho_flip]))
     chi = s_avg - 0.5 * (s_u + s_flip)
     if (chi < -_AVG_TOL).any():
@@ -104,6 +101,9 @@ def holevo_information(rho_avg, rho_u, rho_flip):
     chi = S(rho_avg) - [S(rho_u) + S(rho_flip)] / 2; rho_avg must actually
     be the average of the pair. Tiny negative round-off is clamped to 0.
     """
+    rho_avg, rho_u, rho_flip = np.asarray(rho_avg), np.asarray(rho_u), np.asarray(rho_flip)
+    if (np.linalg.norm(rho_avg - 0.5 * (rho_u + rho_flip), axis=(-2, -1)) > _AVG_TOL).any():
+        raise ValueError("rho_avg is not the average of the two ensemble states")
     return _holevo(rho_avg, rho_u, rho_flip)[0]
 
 

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symqkd import cli, rates
 from symqkd.states import Protocol
@@ -224,6 +226,55 @@ class TestSimulate:
         cp = run_cli("simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", "0")
         assert cp.returncode == 2
 
+    # The JSON record, byte for byte, on both sides of a block boundary
+    # (32769 is one round past a block) and for a ragged run.
+    RECORD = """{
+  "protocol": "%s",
+  "x": %s,
+  "y": %s,
+  "D_analytic": %s,
+  "rounds": %s,
+  "seed": %s,
+  "sifted_count": %s,
+  "sift_fraction": %s,
+  "qber_hat": %s,
+  "qber_se": %s,
+  "estimation_count": %s,
+  "rng_name": "numpy-pcg64"
+}
+"""
+    # protocol, x, y, D_analytic, rounds, seed, sifted_count, sift_fraction, qber_hat, qber_se, estimation_count
+    PINNED = [
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "1", "42", "0", "0.0", "0.0", "0.0", "0"),
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "1", "18446744073709551615", "0", "0.0", "0.0", "0.0", "0"),
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "32769", "42",
+         "16371", "0.499588025268", "0.205531112508", "0.0101307627267", "1591"),
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "32769", "18446744073709551615",
+         "16608", "0.506820470567", "0.206724782067", "0.0101049796778", "1606"),
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "100003", "42",
+         "50000", "0.49998500045", "0.205311137535", "0.00568631867234", "5046"),
+        ("bb84", "0.9273", "0.9273", "0.200001912803", "100003", "18446744073709551615",
+         "49992", "0.49990500285", "0.202506063056", "0.00571304789276", "4948"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "1", "42", "0", "0.0", "0.0", "0.0", "0"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "1", "18446744073709551615",
+         "0", "0.0", "0.0", "0.0", "0"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "32769", "42",
+         "11050", "0.337208947481", "0.393721973094", "0.0146316501035", "1115"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "32769", "18446744073709551615",
+         "10865", "0.331563367817", "0.414354066986", "0.0152386054115", "1045"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "100003", "42",
+         "33382", "0.3338099857", "0.395639534884", "0.00833716973686", "3440"),
+        ("six-state", "1.2", "1.57079632679", "0.389366021343", "100003", "18446744073709551615",
+         "33304", "0.3330300091", "0.390484739677", "0.00843900223688", "3342"),
+    ]
+
+    @pytest.mark.parametrize("fields", PINNED, ids=lambda f: "-".join((f[0], f[4], f[5])))
+    def test_stdout_pinned(self, fields, capsys):
+        protocol, x, _, _, rounds, seed = fields[:6]
+        argv = ["simulate", "--protocol", protocol, "--x", x, "--rounds", rounds, "--seed", seed]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == self.RECORD % fields
+
 
 class TestEnvironment:
     def test_unknown_flags_exit_two(self):
@@ -291,3 +342,69 @@ class TestEnvironment:
             fresh = run_cli(*argv)
             assert (code, out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert cli.build_parser() is cli.build_parser()
+
+
+# Floats at every edge the parsers and the domain checks meet, then any float,
+# then floats inside the attack domain.
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e308, -1e308, math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), math.pi / 2,
+)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, math.pi)).map(repr)
+# Bounded so that no example asks for a large allocation; the MemoryError
+# path is pinned by test_size_too_large_for_memory_exits_two. The second range
+# reaches minimize's floor of 100 more often than the first alone.
+GRIDS = st.one_of(st.integers(-3, 5000), st.integers(90, 300)).map(str)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(["verify", "curve", "threshold", "minimize", "simulate"]))
+    if command == "minimize":
+        d_target = draw(st.one_of(FLOATS, st.floats(0.0, 0.5).map(repr)))
+        return [command, "--d-target", d_target, "--grid", draw(GRIDS)]
+    argv = [command, "--protocol", draw(st.sampled_from([p.value for p in Protocol]))]
+    if command == "curve":
+        return argv + ["--grid", draw(GRIDS), "--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "threshold":
+        return argv
+    argv += ["--x", draw(FLOATS)]
+    if draw(st.booleans()):
+        argv += ["--y", draw(FLOATS)]
+    if command == "simulate":
+        argv += ["--rounds", str(draw(st.integers(-3, 2**16))), "--seed", str(draw(st.integers(-1, 2**64)))]
+    return argv
+
+
+def assert_parses(command: str, argv: list[str], stdout: str) -> None:
+    """stdout is the command's format: CSV or JSON for curve, JSON for simulate, else `key value` lines."""
+    if command == "curve" and "json" in argv:
+        assert all(tuple(row) == cli.CURVE_COLUMNS for row in json.loads(stdout))
+    elif command == "curve":
+        header, *rows = stdout.splitlines()
+        assert header == ",".join(cli.CURVE_COLUMNS)
+        assert all(len([float(cell) for cell in row.split(",")]) == len(cli.CURVE_COLUMNS) for row in rows)
+    elif command == "simulate":
+        assert json.loads(stdout)["rng_name"] == "numpy-pcg64"
+    else:
+        for line in stdout.splitlines():
+            key, value = line.split()
+            if key != "protocol:":
+                float(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_every_argv_exits_with_a_documented_code(argv):
+    """Exit 0/1/2/3, no traceback at the default log level, and stdout in the command's format."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QKD_LOG", raising=False)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 or out.getvalue():
+        assert_parses(argv[0], argv, out.getvalue())

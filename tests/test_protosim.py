@@ -100,16 +100,20 @@ class TestRunSimulation:
         assert result.sift_fraction == result.sifted_count / cfg.rounds
 
 
-def contract_counts(cfg):
-    """(sifted, estimation, estimation errors) drawn straight from the PCG64 contract."""
-    u = np.random.Generator(np.random.PCG64(cfg.seed)).random((cfg.rounds, DRAWS_PER_ROUND))
+def contract_masks(cfg, rounds):
+    """(kept, estimation pick, estimation error) of rounds [0, rounds), drawn straight from the PCG64 contract."""
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random((rounds, DRAWS_PER_ROUND))
     n = len(cfg.params.protocol.bases)
     alice_basis = np.minimum(np.floor(u[:, 1] * n), n - 1)
     bob_basis = np.minimum(np.floor(u[:, 2] * n), n - 1)
     kept = alice_basis == bob_basis
     pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
-    errors = pick & (u[:, 3] < cfg.params.qber)
-    return int(kept.sum()), int(pick.sum()), int(errors.sum())
+    return kept, pick, pick & (u[:, 3] < cfg.params.qber)
+
+
+def contract_counts(cfg):
+    """(sifted, estimation, estimation errors) drawn straight from the PCG64 contract."""
+    return tuple(int(mask.sum()) for mask in contract_masks(cfg, cfg.rounds))
 
 
 class TestDrawContract:
@@ -138,10 +142,16 @@ class TestDrawContract:
 
 
 class TestRoundBatch:
-    def test_kept_iff_bases_match(self):
-        cfg = SimConfig(params=bb84_at(0.1), rounds=10_000, seed=3)
-        batch = simulate_rounds(cfg, 0, cfg.rounds)
-        np.testing.assert_array_equal(batch.kept, batch.alice_basis == batch.bob_basis)
+    @pytest.mark.parametrize("params", [bb84_at(0.11), six_at(0.2)], ids=["bb84", "six-state"])
+    def test_masks_equal_the_contract(self, params):
+        # A start inside the second block, off any block boundary, and a ragged count.
+        start, count = BLOCK_ROUNDS + 1_237, 3_001
+        cfg = SimConfig(params=params, rounds=start + count, seed=606)
+        batch = simulate_rounds(cfg, start, count)
+        assert list(vars(batch)) == ["kept", "estimation_pick", "estimation_error"]
+        for got, want in zip(vars(batch).values(), contract_masks(cfg, start + count)):
+            assert got.shape == (count,)
+            np.testing.assert_array_equal(got, want[start:])
 
     def test_estimation_and_key_partition_the_sifted_set(self):
         cfg = SimConfig(params=bb84_at(0.1), rounds=10_000, seed=3)
@@ -149,19 +159,17 @@ class TestRoundBatch:
         key_mask = batch.kept & ~batch.estimation_pick
         assert not np.any(key_mask & batch.estimation_pick)
         assert int(key_mask.sum()) + int(batch.estimation_pick.sum()) == int(batch.kept.sum())
+        # estimation_error <= estimation_pick <= kept, as sets of rounds.
+        assert not np.any(batch.estimation_error & ~batch.estimation_pick)
+        assert not np.any(batch.estimation_pick & ~batch.kept)
+        assert batch.estimation_error.any()
 
     def test_stream_split_by_round_index(self):
         cfg = SimConfig(params=six_at(0.25), rounds=2_000, seed=77)
         whole = simulate_rounds(cfg, 0, 2_000)
         tail = simulate_rounds(cfg, 1_500, 500)
-        np.testing.assert_array_equal(whole.bob_bit[1_500:], tail.bob_bit)
+        np.testing.assert_array_equal(whole.estimation_error[1_500:], tail.estimation_error)
         np.testing.assert_array_equal(whole.estimation_pick[1_500:], tail.estimation_pick)
-
-    def test_basis_indices_in_range(self):
-        cfg = SimConfig(params=six_at(0.2), rounds=5_000, seed=4)
-        batch = simulate_rounds(cfg, 0, cfg.rounds)
-        n = len(cfg.params.protocol.bases)
-        assert batch.alice_basis.min() >= 0 and batch.alice_basis.max() < n
 
 
 class TestRecord:
