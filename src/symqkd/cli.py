@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -202,6 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes -1e-3 or -inf for a flag: join it to its --option
+        opt, value = argv[i - 1], argv[i]
+        takes_value = opt[:2] == "--" and "=" not in opt and not "--help".startswith(opt)
+        if takes_value and re.match(r"-(\d|\.|inf|nan)", value, re.I):
+            argv[i - 1 : i + 1] = [f"{opt}={value}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

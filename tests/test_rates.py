@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 
+from symqkd import rates
 from symqkd.attack import (
     AttackParams,
     attack_isometry,
@@ -13,6 +14,7 @@ from symqkd.attack import (
     eve_state,
 )
 from symqkd.rates import (
+    _constrained_y,
     binary_entropy,
     branch_eigenvalue,
     closed_rate_bb84,
@@ -239,6 +241,26 @@ class TestGeneralRate:
         diff = np.abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y))
         assert diff.max() <= 1e-9
 
+    # minimize_family_rate evaluates its golden-section points in batches; its
+    # search path is the sequential one only if batch rows equal scalar calls.
+    @given(st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)), min_size=1, max_size=70))
+    def test_batch_rows_equal_scalar_calls_bit_for_bit(self, pairs):
+        rows = []
+        for x, y in pairs:
+            try:  # a vanishing 2 - cos x + cos y: no rate to compare
+                rows.append((x, y, general_rate_bb84(x, y)))
+            except ValueError:
+                pass
+        assume(rows)
+        x, y, scalar = (np.array(column) for column in zip(*rows))
+        assert (general_rate_bb84(x, y) == scalar).all()
+
+    def test_scalar_x_broadcasts_against_array_y(self):
+        ys = np.linspace(0.0, math.pi, 33)
+        batch = general_rate_bb84(0.7, ys)
+        assert batch.shape == ys.shape
+        assert (batch == np.array([general_rate_bb84(0.7, y) for y in ys])).all()
+
 
 class TestBatches:
     def test_batch_point_compares_and_hashes_by_identity(self):
@@ -340,6 +362,31 @@ class TestMinimizeFamilyRate:
         assert abs(best.x - x_star) <= 1e-7
         assert abs(best.y - x_star) <= 1e-7
         assert abs(best.rate - closed_rate_bb84(d)) <= 1e-12
+
+    @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=70), st.floats(1e-6, 0.5, exclude_max=True))
+    def test_constrained_y_rows_equal_scalar_calls_bit_for_bit(self, xs, d):
+        y, feasible = _constrained_y(np.array(xs), d)
+        for k, x in enumerate(xs):
+            assert (y[k], feasible[k]) == _constrained_y(x, d)
+
+    @pytest.mark.parametrize("grid", [100, 2000, 5001])
+    @pytest.mark.parametrize("d", [0.01, 0.05, 0.11, 0.123, 0.25, 0.3, 0.45, 0.4999])
+    def test_lookahead_depth_never_moves_the_search_path(self, d, grid, monkeypatch):
+        """Depth 0 evaluates only the bracket's own two points, one step at a time.
+
+        Unlike the printed pins in test_cli.py, this holds whatever the
+        platform's float64 ufuncs round to.
+        """
+        batched = minimize_family_rate(d, grid)
+        monkeypatch.setattr(rates, "_LOOKAHEAD", 0)
+        assert minimize_family_rate(d, grid) == batched
+
+    def test_golden_section_evaluates_its_points_in_batches(self, monkeypatch):
+        """One scan, a handful of lookahead batches and the final point; 47 calls with one per point."""
+        calls = []
+        monkeypatch.setattr(rates, "general_rate_bb84", lambda x, y: calls.append(x) or general_rate_bb84(x, y))
+        minimize_family_rate(0.11, 2000)
+        assert len(calls) <= 12
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
