@@ -24,7 +24,7 @@ rho_B(u) = F |u><u| + D |u+1><u+1|; Eve holds the complementary output
 rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions are computed here, and
 ``verify_symmetry`` reports in one ``ConditionReport`` the residual of every
 symmetry condition in any basis, these two output forms included, for one
-attack or for every attack of a batch.
+attack or for every attack of a batch, all bases in one stacked pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smallmat import is_isometry, projector
-from .states import Protocol, basis_labels, conjugate_flip, state_vector
+from .states import Protocol, basis_labels, state_vector
 
 __all__ = [
     "ANGLE_CONDITIONS",
@@ -179,9 +179,19 @@ def attack_isometry(params: AttackParams) -> np.ndarray:
     return v
 
 
-def _output(v: np.ndarray, u: str) -> np.ndarray:
-    """V|u> as a (..., 2, 4) array indexed (signal, ancilla)."""
-    return (v @ state_vector(u)).reshape(v.shape[:-2] + (2, 4))
+def _output(v: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """V|u> for a ket |u> or each of an (L, 2) stack, as (..., [L,] 2, 4) arrays indexed (signal, ancilla)."""
+    return (v[..., None, :, :] @ kets[..., :, None]).reshape(v.shape[:-2] + kets.shape[:-1] + (2, 4))
+
+
+def _label_outputs(v: np.ndarray, bases: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """|u>, |u+1>, V|u>, F_u and D_u stacked over the labels u0, u1 of each basis, with one-label bits."""
+    kets = np.array([state_vector(u) for basis in bases for u in basis_labels(basis)])
+    partners = kets[np.arange(len(kets)) ^ 1]
+    psi = _output(v, kets)
+    f = (kets.conj()[:, None, :] @ psi)[..., 0, :]  # component along |u>
+    d = (partners.conj()[:, None, :] @ psi)[..., 0, :]  # component along |u+1>
+    return kets, partners, psi, f, d
 
 
 def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -191,25 +201,19 @@ def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray,
     basis, returns (F_u, D_u, F_u+1, D_u+1). In the Z basis these are the
     rows F0, D0, F1, D1 that ``attack_isometry`` built, bit for bit.
     """
-    u0, u1 = basis_labels(basis)
-    out = []
-    for u, partner in ((u0, u1), (u1, u0)):
-        psi = _output(v, u)
-        su, sp = state_vector(u), state_vector(partner)
-        out.append(su.conj() @ psi)  # component along |u>
-        out.append(sp.conj() @ psi)  # component along |u+1>
-    return out[0], out[1], out[2], out[3]
+    f, d = _label_outputs(v, (basis,))[3:]
+    return f[..., 0, :], d[..., 0, :], f[..., 1, :], d[..., 1, :]
 
 
 def bob_state(v: np.ndarray, u: str) -> np.ndarray:
     """Bob's 2x2 reduced state for input label u (ancilla traced out)."""
-    psi = _output(v, u)
+    psi = _output(v, state_vector(u))
     return np.einsum("...ak,...bk->...ab", psi, psi.conj())
 
 
 def eve_state(v: np.ndarray, u: str) -> np.ndarray:
     """Eve's 4x4 reduced state for input label u (signal traced out)."""
-    psi = _output(v, u)
+    psi = _output(v, state_vector(u))
     return np.einsum("...ka,...kb->...ab", psi, psi.conj())
 
 
@@ -301,35 +305,28 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
     complementary output (``complementary_output``); these rows follow the
     ancilla rows of all bases. Each row is the larger residual of the
     basis's two states, per attack: a float for one attack, an array shaped
-    like the angles for a batch.
+    like the angles for a batch. Each quantity is computed once, over the
+    stacked labels u0, u1 of every basis, with the bits of a one-label check.
     """
     if bases is None:
         bases = params.protocol.bases
     if not bases:
         raise ValueError("verify_symmetry needs at least one basis")
-    v = attack_isometry(params)
-    f, d = np.asarray(params.fidelity), np.asarray(params.qber)
-    ff_target = f * np.cos(params.x)
-    dd_target = d * np.cos(params.y)
-    f_mat, d_mat = f[..., None, None], d[..., None, None]  # weights of (..., 2, 2) stacks
-    residuals: dict[tuple[str, str], np.ndarray] = {}
-    outputs: dict[tuple[str, str], np.ndarray] = {}
-    for basis in bases:
-        fu, du, fv, dv = induced_ancillas(v, basis)
-        residuals[(basis, "F_norm")] = np.maximum(abs(_dot(fu, fu).real - f), abs(_dot(fv, fv).real - f))
-        residuals[(basis, "D_norm")] = np.maximum(abs(_dot(du, du).real - d), abs(_dot(dv, dv).real - d))
-        residuals[(basis, "FD_ortho")] = np.maximum(abs(_dot(fu, du)), abs(_dot(fv, dv)))
-        residuals[(basis, "FF_overlap")] = abs(_dot(fu, fv) - ff_target)
-        residuals[(basis, "DD_overlap")] = abs(_dot(du, dv) - dd_target)
-        residuals[(basis, "FD_cross")] = np.maximum(abs(_dot(fu, dv)), abs(_dot(fv, du)))
-        u0, u1 = basis_labels(basis)
-        chan = 0.0
-        comp = 0.0
-        for u, anc_f, anc_d in ((u0, fu, du), (u1, fv, dv)):
-            target_b = f_mat * projector(state_vector(u)) + d_mat * projector(state_vector(conjugate_flip(u)))
-            chan = np.maximum(chan, _frobenius(bob_state(v, u) - target_b))
-            target_e = projector(anc_f) + projector(anc_d)
-            comp = np.maximum(comp, _frobenius(eve_state(v, u) - target_e))
-        outputs[(basis, "channel_contraction")] = chan
-        outputs[(basis, "complementary_output")] = comp
-    return ConditionReport({key: _field(np.asarray(r)) for key, r in (residuals | outputs).items()})
+    kets, partners, psi, fa, da = _label_outputs(attack_isometry(params), bases)
+    f, d = np.asarray(params.fidelity)[..., None], np.asarray(params.qber)[..., None]  # per label
+    target_b = f[..., None, None] * projector(kets) + d[..., None, None] * projector(partners)
+    eve = np.einsum("...ka,...kb->...ab", psi, psi.conj())
+    per_label = {
+        "F_norm": abs(_dot(fa, fa).real - f),
+        "D_norm": abs(_dot(da, da).real - d),
+        "FD_ortho": abs(_dot(fa, da)),
+        "FD_cross": abs(_dot(fa, da[..., np.arange(len(kets)) ^ 1, :])),
+        "channel_contraction": _frobenius(np.einsum("...ak,...bk->...ab", psi, psi.conj()) - target_b),
+        "complementary_output": _frobenius(eve - (projector(fa) + projector(da))),
+    }
+    rows = {c: np.maximum(r[..., 0::2], r[..., 1::2]) for c, r in per_label.items()}  # each basis's worse state
+    rows["FF_overlap"] = abs(_dot(fa[..., 0::2, :], fa[..., 1::2, :]) - f * np.cos(params.x)[..., None])
+    rows["DD_overlap"] = abs(_dot(da[..., 0::2, :], da[..., 1::2, :]) - d * np.cos(params.y)[..., None])
+    groups = (BASE_CONDITIONS[:3] + ANGLE_CONDITIONS, BASE_CONDITIONS[3:])  # ancilla rows first
+    order = [(i, basis, c) for group in groups for i, basis in enumerate(bases) for c in group]
+    return ConditionReport({(basis, c): _field(np.asarray(rows[c][..., i])) for i, basis, c in order})

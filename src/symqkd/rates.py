@@ -255,11 +255,12 @@ class FamilyMinimum(NamedTuple):
 def _constrained_y(x, d: float):
     """Angle y keeping the QBER at d for each x, and whether such a y exists.
 
-    Where |cos y| would exceed 1 the returned y is the nearest end of [0, pi].
+    Where |cos y| would exceed 1 the returned y is the nearest end of [0, pi]; no y exists
+    there, nor where cos x rounds to 1 (the QBER is 0 for every y).
     """
     c = np.cos(x)
     cy = (1.0 - c) / d - 2.0 + c
-    return np.arccos(np.minimum(np.maximum(cy, -1.0), 1.0)), np.abs(cy) <= 1.0 + 1e-12
+    return np.arccos(np.minimum(np.maximum(cy, -1.0), 1.0)), (np.abs(cy) <= 1.0 + 1e-12) & (c != 1.0)
 
 
 def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
@@ -286,7 +287,7 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     def rate_at(x):
         """Rate at each x on the fixed-QBER curve; +inf where no y exists."""
         y, feasible = _constrained_y(x, d_target)
-        return np.where(feasible, general_rate_bb84(x, y), math.inf)
+        return np.where(feasible, general_rate_bb84(x, np.where(feasible, y, 0.0)), math.inf)
 
     scan = rate_at(xs)
     best_i = int(np.argmin(scan))

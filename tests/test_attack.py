@@ -327,9 +327,16 @@ class TestVerifySymmetry:
             f, d = params.fidelity, params.qber
             for basis in ("Z", "X", "Y"):
                 fu, du, fv, dv = induced_ancillas(v, basis)
-                norm_f = max(abs(np.vdot(a, a).real - f) for a in (fu, fv))
-                assert report.residuals[(basis, "F_norm")] == norm_f
-                assert report.residuals[(basis, "FF_overlap")] == abs(np.vdot(fu, fv) - f * np.cos(params.x))
+                expected = {
+                    "F_norm": max(abs(np.vdot(a, a).real - f) for a in (fu, fv)),
+                    "D_norm": max(abs(np.vdot(a, a).real - d) for a in (du, dv)),
+                    "FD_ortho": max(abs(np.vdot(fu, du)), abs(np.vdot(fv, dv))),
+                    "FF_overlap": abs(np.vdot(fu, fv) - f * np.cos(params.x)),
+                    "DD_overlap": abs(np.vdot(du, dv) - d * np.cos(params.y)),
+                    "FD_cross": max(abs(np.vdot(fu, dv)), abs(np.vdot(fv, du))),
+                }
+                for condition, value in expected.items():
+                    assert report.residuals[(basis, condition)] == value, (basis, condition)
                 chan = comp = 0.0
                 for u, anc_f, anc_d in zip(basis_labels(basis), (fu, fv), (du, dv)):
                     target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
@@ -337,6 +344,20 @@ class TestVerifySymmetry:
                     comp = max(comp, np.linalg.norm(eve_state(v, u) - (projector(anc_f) + projector(anc_d))))
                 assert report.residuals[(basis, "channel_contraction")] == chan
                 assert report.residuals[(basis, "complementary_output")] == comp
+
+    @pytest.mark.parametrize("bases", [("X", "Z"), ("Y",), ("Y", "Z", "X")])
+    def test_bases_in_any_order_or_subset_give_their_own_rows(self, bases):
+        # All bases share one stacked pass; a basis's rows must not depend on
+        # which other bases ride along, nor on their order.
+        for params in [AttackParams.bb84(0.7, 1.9)] + edge_batches():
+            report = verify_symmetry(params, bases=bases)
+            expected_keys = [(b, c) for b in bases for c in BASE_CONDITIONS[:3] + ANGLE_CONDITIONS]
+            expected_keys += [(b, c) for b in bases for c in BASE_CONDITIONS[3:]]
+            assert list(report.residuals) == expected_keys
+            for basis in bases:
+                for key, value in verify_symmetry(params, bases=(basis,)).residuals.items():
+                    assert type(report.residuals[key]) is type(value)
+                    assert np.array_equal(report.residuals[key], value), (key, bases)
 
     def test_empty_bases_rejected(self):
         with pytest.raises(ValueError, match="at least one basis"):

@@ -191,6 +191,14 @@ class TestMinimize:
         fields = dict(line.split(":") for line in cp.stdout.strip().splitlines())
         assert float(fields["gap"]) <= 1e-6
 
+    @pytest.mark.parametrize("d_target", ["1e-10", "1e-12"])
+    def test_tiny_target_is_not_a_degenerate_angle(self, d_target, capsys):
+        # cos(x) rounds to 1 at the first scan points here; they have QBER 0,
+        # not the target, and must be skipped, not handed to the rate formula.
+        assert cli.main(["minimize", "--d-target", d_target, "--grid", "2000"]) == 0
+        fields = dict(line.split(":") for line in capsys.readouterr().out.strip().splitlines())
+        assert float(fields["gap"]) <= 1e-9
+
     def test_quarter_lands_on_diagonal(self):
         cp = run_cli("minimize", "--d-target", "0.25", "--grid", "800")
         fields = dict(line.split(":") for line in cp.stdout.strip().splitlines())
