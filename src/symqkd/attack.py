@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smallmat import is_isometry, projector
-from .states import Protocol, basis_labels, state_vector
+from .states import SIGNAL_STATES, Protocol, basis_labels, basis_rows, state_vector
 
 __all__ = [
     "ANGLE_CONDITIONS",
@@ -186,8 +186,8 @@ def _output(v: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def _label_outputs(v: np.ndarray, bases: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """|u>, |u+1>, V|u>, F_u and D_u stacked over the labels u0, u1 of each basis, with one-label bits."""
-    kets = np.array([state_vector(u) for basis in bases for u in basis_labels(basis)])
-    partners = kets[np.arange(len(kets)) ^ 1]
+    rows = basis_rows(bases)
+    kets, partners = SIGNAL_STATES[rows], SIGNAL_STATES[rows ^ 1]
     psi = _output(v, kets)
     f = (kets.conj()[:, None, :] @ psi)[..., 0, :]  # component along |u>
     d = (partners.conj()[:, None, :] @ psi)[..., 0, :]  # component along |u+1>

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import AttackParams, bob_state
-from .states import basis_labels, basis_of, state_vector
+from .states import SIGNAL_STATES, basis_labels, basis_rows
 
 __all__ = [
     "BLOCK_ROUNDS",
@@ -195,12 +195,8 @@ def mismatch_outcome_check(v: np.ndarray, alice_u: str, bob_basis: str) -> tuple
     For any symmetric attack both come out 1/2, which is what licenses the
     simulator's uniform sampling on basis mismatch.
     """
-    if basis_of(alice_u) == bob_basis:
+    if alice_u in basis_labels(bob_basis):
         raise ValueError("bob_basis must differ from the basis of alice_u")
     rho = bob_state(v, alice_u)
-    w0, w1 = basis_labels(bob_basis)
-    p = []
-    for w in (w0, w1):
-        ket = state_vector(w)
-        p.append(float(np.vdot(ket, rho @ ket).real))
-    return p[0], p[1]
+    p0, p1 = (float(np.vdot(ket, rho @ ket).real) for ket in SIGNAL_STATES[basis_rows((bob_basis,))])
+    return p0, p1

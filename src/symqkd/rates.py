@@ -24,7 +24,7 @@ import numpy as np
 
 from .attack import AttackParams, attack_isometry, eve_state, qber_bb84
 from .smallmat import hermitian_eigenvalues
-from .states import Protocol, basis_labels
+from .states import Protocol
 
 __all__ = [
     "FamilyMinimum",
@@ -50,6 +50,7 @@ _AVG_TOL = 1e-10
 _RATE_CONSISTENCY_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _LOOKAHEAD = 4  # golden-section steps whose points one array call evaluates ahead
+_MIN_TARGET = 1e-15  # smallest minimize target; below it cos x rounds to 1 near x* = acos(1 - 2D)
 
 
 def _in_domain(v, hi: float, what: str):
@@ -135,8 +136,7 @@ def dw_rate_numeric(params: AttackParams) -> RatePoint:
     identity signals an internal inconsistency and raises.
     """
     v = attack_isometry(params)
-    u0, u1 = basis_labels("Z")
-    rho_u, rho_flip = eve_state(v, u0), eve_state(v, u1)
+    rho_u, rho_flip = eve_state(v, "0"), eve_state(v, "1")
     chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
     d = params.qber
     i_ab = 1.0 - binary_entropy(d)
@@ -153,8 +153,8 @@ def branch_eigenvalue(angle):
 
 
 def closed_rate_bb84(d):
-    """Closed-form BB84 key rate 1 - 2 H(D), valid for D in [0, 1/2]."""
-    return 1.0 - 2.0 * binary_entropy(_in_domain(d, 0.5, "BB84 QBER"))
+    """Closed-form BB84 key rate 1 - 2 H(D), valid for D in [0, 1] (the diagonal x = y, x in [0, pi))."""
+    return 1.0 - 2.0 * binary_entropy(_in_domain(d, 1.0, "BB84 QBER"))
 
 
 def closed_rate_six_state(d):
@@ -270,6 +270,7 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     companion angle y is solved from the QBER constraint; grid points with
     |cos y| > 1 are skipped), then refines the best cell by golden-section
     search. The minimum sits on the diagonal x = y at rate 1 - 2 H(D).
+    Targets below the floor ``_MIN_TARGET`` (1e-15) raise.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
     steps can form, by their own float expressions, and batch rows equal scalar
@@ -278,6 +279,8 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
     """
     if not 0.0 < d_target < 0.5:
         raise ValueError(f"target QBER {d_target} outside (0, 1/2)")
+    if d_target < _MIN_TARGET:
+        raise ValueError(f"target QBER {d_target} below minimize's floor {_MIN_TARGET:g}")
     if grid < 100:
         raise ValueError("grid must be at least 100")
     # cos(y) <= 1 bounds cos(x) from below; x = 0 is a degenerate corner.

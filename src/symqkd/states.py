@@ -1,9 +1,11 @@
-"""Signal states, bases and their bit labels for BB84 and six-state QKD.
+"""Signal states of BB84 and six-state QKD, as the rows of one array.
 
-Labels are plain strings: bits live in "0"/"1" (Z), "+"/"-" (X) and
-"R"/"L" (Y). BB84 uses the Z and X bases only; the six-state protocol adds
-Y. All vectors carry the fixed phase convention of a real, non-negative
-first component, so tests can compare components exactly.
+``SIGNAL_STATES`` holds the six kets in the order of ``LABELS``, "01+-RL".
+Basis b of "ZXY" is rows 2b (bit 0) and 2b + 1 (bit 1), so a state's
+within-basis partner is row i ^ 1; BB84 uses rows [:4], six-state [:6].
+Code indexes rows; label and basis strings only name them for people. All
+kets carry the fixed phase convention of a real, non-negative first
+component, so tests can compare components exactly.
 """
 
 from __future__ import annotations
@@ -13,29 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "Protocol",
-    "basis_labels",
-    "basis_of",
-    "conjugate_flip",
-    "state_vector",
-]
+__all__ = ["LABELS", "SIGNAL_STATES", "Protocol", "basis_labels", "basis_rows", "state_vector"]
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+LABELS = "01+-RL"
+_BASES = "ZXY"
 
-_VECTORS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
-    "-": np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
-    "R": np.array([_INV_SQRT2, _INV_SQRT2 * 1j], dtype=complex),
-    "L": np.array([_INV_SQRT2, -_INV_SQRT2 * 1j], dtype=complex),
-}
-
-_BASIS_LABELS = {"Z": ("0", "1"), "X": ("+", "-"), "Y": ("R", "L")}
-_BASIS_OF = {u: b for b, pair in _BASIS_LABELS.items() for u in pair}
-# Within-basis bit flip: the partner state of each label.
-_FLIP = {"0": "1", "1": "0", "+": "-", "-": "+", "R": "L", "L": "R"}
+_S = 1.0 / math.sqrt(2.0)
+SIGNAL_STATES = np.array([[1.0, 0.0], [0.0, 1.0], [_S, _S], [_S, -_S], [_S, _S * 1j], [_S, -_S * 1j]], dtype=complex)
+SIGNAL_STATES.flags.writeable = False
 
 
 class Protocol(Enum):
@@ -53,33 +40,24 @@ class Protocol(Enum):
         return 1.0 / len(self.bases)
 
 
-def _check_label(u: str) -> str:
-    if u not in _VECTORS:
-        raise ValueError(f"unknown signal label {u!r}")
-    return u
+def _index(name: str, names: str, what: str) -> int:
+    """Position of a one-character name in names; anything else raises."""
+    if len(name) != 1 or name not in names:
+        raise ValueError(f"unknown {what} {name!r}")
+    return names.index(name)
 
 
-def _check_basis(basis: str) -> str:
-    if basis not in _BASIS_LABELS:
-        raise ValueError(f"unknown basis {basis!r}")
-    return basis
+def basis_rows(bases) -> np.ndarray:
+    """Rows 2b, 2b + 1 (bit 0, bit 1) of each basis b in turn."""
+    return np.array([2 * _index(basis, _BASES, "basis") + bit for basis in bases for bit in (0, 1)], dtype=np.intp)
 
 
 def state_vector(u: str) -> np.ndarray:
     """Two-component ket for a signal label."""
-    return _VECTORS[_check_label(u)].copy()
-
-
-def basis_of(u: str) -> str:
-    return _BASIS_OF[_check_label(u)]
+    return SIGNAL_STATES[_index(u, LABELS, "signal label")].copy()
 
 
 def basis_labels(basis: str) -> tuple[str, str]:
     """(bit-0 label, bit-1 label) of a basis."""
-    return _BASIS_LABELS[_check_basis(basis)]
-
-
-def conjugate_flip(u: str) -> str:
-    """The orthogonal partner within the same basis: 0<->1, +<->-, R<->L."""
-    return _FLIP[_check_label(u)]
-
+    b = 2 * _index(basis, _BASES, "basis")
+    return LABELS[b], LABELS[b + 1]

@@ -17,7 +17,7 @@ from symqkd.attack import (
     verify_symmetry,
 )
 from symqkd.smallmat import hermitian_eigenvalues, is_isometry, projector
-from symqkd.states import Protocol, basis_labels, conjugate_flip, state_vector
+from symqkd.states import LABELS, SIGNAL_STATES, Protocol, basis_labels, state_vector
 
 # Frozen oracle values (binary entropies evaluated independently).
 H_QUARTER = 0.8112781244591328
@@ -197,9 +197,8 @@ class TestReducedStates:
             f, d = params.fidelity, params.qber
             for basis in params.protocol.bases:
                 for u in basis_labels(basis):
-                    expected = f * projector(state_vector(u)) + d * projector(
-                        state_vector(conjugate_flip(u))
-                    )
+                    i = LABELS.index(u)  # the partner state is row i ^ 1
+                    expected = f * projector(SIGNAL_STATES[i]) + d * projector(SIGNAL_STATES[i ^ 1])
                     assert np.linalg.norm(bob_state(v, u) - expected) <= 1e-12
 
     def test_eve_noiseless_is_pure(self):
@@ -339,7 +338,8 @@ class TestVerifySymmetry:
                     assert report.residuals[(basis, condition)] == value, (basis, condition)
                 chan = comp = 0.0
                 for u, anc_f, anc_d in zip(basis_labels(basis), (fu, fv), (du, dv)):
-                    target_b = f * projector(state_vector(u)) + d * projector(state_vector(conjugate_flip(u)))
+                    i = LABELS.index(u)
+                    target_b = f * projector(SIGNAL_STATES[i]) + d * projector(SIGNAL_STATES[i ^ 1])
                     chan = max(chan, np.linalg.norm(bob_state(v, u) - target_b))
                     comp = max(comp, np.linalg.norm(eve_state(v, u) - (projector(anc_f) + projector(anc_d))))
                 assert report.residuals[(basis, "channel_contraction")] == chan

@@ -191,13 +191,20 @@ class TestMinimize:
         fields = dict(line.split(":") for line in cp.stdout.strip().splitlines())
         assert float(fields["gap"]) <= 1e-6
 
-    @pytest.mark.parametrize("d_target", ["1e-10", "1e-12"])
+    @pytest.mark.parametrize("d_target", ["1e-10", "1e-12", "1e-15"])
     def test_tiny_target_is_not_a_degenerate_angle(self, d_target, capsys):
         # cos(x) rounds to 1 at the first scan points here; they have QBER 0,
         # not the target, and must be skipped, not handed to the rate formula.
         assert cli.main(["minimize", "--d-target", d_target, "--grid", "2000"]) == 0
         fields = dict(line.split(":") for line in capsys.readouterr().out.strip().splitlines())
         assert float(fields["gap"]) <= 1e-9
+        assert abs(float(fields["x_best"]) / math.acos(1.0 - 2.0 * float(d_target)) - 1.0) <= 0.015
+
+    @pytest.mark.parametrize("d_target", ["1e-16", "1e-17", "5e-324"])
+    def test_target_below_the_floor_exits_two(self, d_target, capsys):
+        # Below 1e-15, cos(x) rounds to 1 near x* and no scan resolves the argmin.
+        assert cli.main(["minimize", "--d-target", d_target, "--grid", "2000"]) == 2
+        assert capsys.readouterr().err == f"error: target QBER {d_target} below minimize's floor 1e-15\n"
 
     def test_quarter_lands_on_diagonal(self):
         cp = run_cli("minimize", "--d-target", "0.25", "--grid", "800")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from symqkd.protosim import (
     run_simulation,
     simulate_rounds,
 )
-from symqkd.states import Protocol
+from symqkd.states import Protocol, basis_labels
 
 
 def bb84_at(d):
@@ -203,20 +204,24 @@ class TestRecord:
 
 class TestMismatchOutcome:
     def test_uniform_for_symmetric_attacks(self):
-        cases = [
-            (AttackParams.bb84(1.0, 1.0), "0", "X"),
-            (AttackParams.six_state(1.2), "+", "Y"),
-            (AttackParams.bb84(0.0, 0.0), "0", "X"),
-        ]
-        for params, u, basis in cases:
-            p0, p1 = mismatch_outcome_check(attack_isometry(params), u, basis)
-            assert abs(p0 - 0.5) <= 1e-12
-            assert abs(p1 - 0.5) <= 1e-12
+        # Every label against every other basis of the protocol: Z/X for BB84
+        # (generic x != y, the diagonal and the noiseless corner), Z/X/Y for six-state.
+        attacks = [AttackParams.bb84(1.0, 1.7), AttackParams.bb84(1.0, 1.0), AttackParams.bb84(0.0, 0.0)]
+        for params in attacks + [AttackParams.six_state(1.2)]:
+            v = attack_isometry(params)
+            bases = params.protocol.bases
+            for alice_basis, bob_basis in itertools.permutations(bases, 2):
+                for u in basis_labels(alice_basis):
+                    p0, p1 = mismatch_outcome_check(v, u, bob_basis)
+                    assert abs(p0 - 0.5) <= 1e-12, (params, u, bob_basis)
+                    assert abs(p1 - 0.5) <= 1e-12, (params, u, bob_basis)
 
     def test_matching_basis_rejected(self):
-        v = attack_isometry(AttackParams.bb84(1.0, 1.0))
-        with pytest.raises(ValueError):
-            mismatch_outcome_check(v, "0", "Z")
+        v = attack_isometry(AttackParams.six_state(1.2))
+        for basis in ("Z", "X", "Y"):
+            for u in basis_labels(basis):
+                with pytest.raises(ValueError, match="must differ"):
+                    mismatch_outcome_check(v, u, basis)
 
 
 def test_draws_per_round_is_the_stream_contract():

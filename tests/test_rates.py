@@ -187,8 +187,9 @@ class TestClosedRates:
         assert abs(closed_rate_six_state_alt(1 / 3) - RATE_SIX_AT_THIRD) <= 1e-12
 
     def test_domains_enforced(self):
-        with pytest.raises(ValueError):
-            closed_rate_bb84(0.51)
+        for d in (-0.01, 1.01):  # the BB84 form holds on all of [0, 1]
+            with pytest.raises(ValueError):
+                closed_rate_bb84(d)
         with pytest.raises(ValueError):
             closed_rate_six_state(0.67)
         with pytest.raises(ValueError):
@@ -203,6 +204,12 @@ class TestClosedRates:
         for fn in (closed_rate_bb84, closed_rate_six_state):
             vals = [fn(float(d)) for d in ds]
             assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_bb84_matches_numeric_rate_past_one_half(self):
+        # On the diagonal x = y in [pi/2, pi) the QBER sweeps [1/2, 1), and 1 - 2 H(D) is still the rate.
+        point = dw_rate_numeric(AttackParams.bb84(np.linspace(math.pi / 2, math.pi, 4000, endpoint=False)))
+        assert abs(point.D.min() - 0.5) <= 1e-15 and point.D.max() > 0.999
+        np.testing.assert_allclose(closed_rate_bb84(point.D), point.R_DW, rtol=0, atol=1e-12)
 
     def test_six_state_tolerates_more_noise(self):
         for d in np.linspace(0.01, 0.3, 30):
@@ -292,7 +299,7 @@ class TestBatches:
             AttackParams(Protocol.SIX_STATE, ok, [math.pi / 2, math.pi / 2, 0.3])
         for fn, d in (
             (binary_entropy, [0.2, 1.01]),
-            (closed_rate_bb84, [0.1, 0.51]),
+            (closed_rate_bb84, [0.1, 1.01]),
             (closed_rate_six_state, [0.1, 0.67]),
             (closed_rate_six_state_alt, [0.1, 0.7]),
         ):
