@@ -14,19 +14,20 @@ Alice basis, Bob basis, outcome, estimation pick). Because the stream is
 split by round index, a run may be partitioned into arbitrary blocks
 without changing any result.
 
-Execution: a run is cut into blocks of ``BLOCK_ROUNDS`` (2^15) rounds, and
-the blocks run on a thread pool with one worker per available CPU (numpy
-draws and ufuncs release the GIL). Each worker reduces its block to the
-counts of three masks before taking the next, so memory is bounded by
-workers x one block for any number of rounds. Results do not depend on the
-worker count or the blocking.
+Execution: a run is cut into blocks of ``BLOCK_ROUNDS`` (2^15) rounds. One
+worker thread per available CPU pulls the next block start from a shared
+iterator (numpy draws and ufuncs release the GIL). Each worker keeps one
+PCG64, advanced from the end of its last block to the start of its next, and
+one draw buffer of a block, and adds its blocks' three mask counts to its
+own totals. Memory is bounded by workers x one block for any number of
+rounds, and results do not depend on the worker count or the blocking.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,28 +101,24 @@ class RoundBatch:
     estimation_error: np.ndarray
 
 
-def _round_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for rounds [start, start+count), identical for any blocking."""
-    bg = np.random.PCG64(seed)
-    if start:
-        bg.advance(start * DRAWS_PER_ROUND)
-    return np.random.Generator(bg).random((count, DRAWS_PER_ROUND))
+def _masks(u: np.ndarray, n_bases: int, qber: float) -> RoundBatch:
+    """Masks of the rounds whose 5 uniforms are the rows of ``u``.
+
+    No bit is formed: on a kept round Bob's bit differs from Alice's exactly
+    when the outcome draw is below D, so Alice's bit draw is never read. A
+    uniform, below 1, times n truncates to a basis index below n.
+    """
+    kept = (u[:, 1] * n_bases).astype(np.uint8) == (u[:, 2] * n_bases).astype(np.uint8)
+    estimation_pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
+    return RoundBatch(kept, estimation_pick, estimation_pick & (u[:, 3] < qber))
 
 
 def simulate_rounds(cfg: SimConfig, start: int, count: int) -> RoundBatch:
-    """Simulate rounds [start, start+count) of the configured run.
-
-    Bob's bit is never formed: estimation rounds are kept rounds, on which
-    his bit differs from Alice's exactly when the outcome draw is below D.
-    Alice's bit draw is consumed, by the 5-draw contract, but never read.
-    """
-    u = _round_uniforms(cfg.seed, start, count)
-    n_bases = len(cfg.params.protocol.bases)
-    alice_basis = np.minimum((u[:, 1] * n_bases).astype(np.uint8), n_bases - 1)
-    bob_basis = np.minimum((u[:, 2] * n_bases).astype(np.uint8), n_bases - 1)
-    kept = alice_basis == bob_basis
-    estimation_pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
-    return RoundBatch(kept, estimation_pick, estimation_pick & (u[:, 3] < cfg.params.qber))
+    """Simulate rounds [start, start+count) of the configured run, identical for any blocking."""
+    bg = np.random.PCG64(cfg.seed)
+    bg.advance(start * DRAWS_PER_ROUND)
+    u = np.random.Generator(bg).random((count, DRAWS_PER_ROUND))
+    return _masks(u, len(cfg.params.protocol.bases), cfg.params.qber)
 
 
 def _available_cpus() -> int:
@@ -130,45 +127,46 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_counts(cfg: SimConfig, start: int, count: int) -> tuple[int, int, int]:
-    """(sifted, estimation, estimation errors) of one block; its masks die here."""
-    batch = simulate_rounds(cfg, start, count)
-    return tuple(np.count_nonzero(mask) for mask in (batch.kept, batch.estimation_pick, batch.estimation_error))
-
-
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the whole protocol and return sifted-key statistics.
 
-    Deterministic in cfg (including the seed). The rounds are cut into
-    blocks of ``BLOCK_ROUNDS`` that run on one worker thread per available
-    CPU; neither the blocking nor the worker count ever changes the outcome.
-    Memory is bounded by workers x one block for any number of rounds.
+    Deterministic in cfg (including the seed). One worker thread per
+    available CPU pulls blocks of ``BLOCK_ROUNDS`` in turn. It keeps one
+    generator, advanced over the blocks other workers took, and draws each
+    block into one reused buffer, so memory is bounded by workers x one
+    block for any number of rounds. Neither the blocking nor the worker
+    count ever changes the outcome.
     """
-    starts = range(0, cfg.rounds, BLOCK_ROUNDS)
+    rounds, block, n_bases = cfg.rounds, BLOCK_ROUNDS, len(cfg.params.protocol.bases)
+    starts = range(0, rounds, block)
+    pending, lock = iter(starts), threading.Lock()
+
+    def worker() -> np.ndarray:
+        bg = np.random.PCG64(cfg.seed)
+        draw = np.random.Generator(bg).random
+        buf = np.empty((min(block, rounds), DRAWS_PER_ROUND))
+        totals = np.zeros(3, dtype=np.int64)
+        pos = 0
+        while True:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return totals
+            bg.advance((start - pos) * DRAWS_PER_ROUND)
+            pos = min(start + block, rounds)
+            u = buf[: pos - start]
+            draw(out=u)
+            batch = _masks(u, n_bases, cfg.params.qber)
+            totals += [np.count_nonzero(m) for m in (batch.kept, batch.estimation_pick, batch.estimation_error)]
+
     workers = min(_available_cpus(), len(starts))
-    totals = np.zeros(3, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # A bounded window of futures, not Executor.map: map submits one
-        # future per block up front (about 2 kB each), so memory would grow
-        # with the run length.
-        window: deque = deque()
-        for start in starts:
-            window.append(pool.submit(_block_counts, cfg, start, min(BLOCK_ROUNDS, cfg.rounds - start)))
-            if len(window) > 2 * workers:
-                totals += window.popleft().result()
-        for future in window:
-            totals += future.result()
-    sifted, est_n, est_err = totals.tolist()
+        futures = [pool.submit(worker) for _ in range(workers)]
+    sifted, est_n, est_err = sum(f.result() for f in futures).tolist()
     qber_hat = est_err / est_n if est_n else 0.0
     var = qber_hat * (1.0 - qber_hat)
     qber_se = math.sqrt(var / est_n) if est_n and var > 0.0 else 0.0
-    return SimResult(
-        sifted_count=sifted,
-        sift_fraction=sifted / cfg.rounds,
-        qber_hat=qber_hat,
-        qber_se=qber_se,
-        estimation_count=est_n,
-    )
+    return SimResult(sifted, sifted / rounds, qber_hat, qber_se, est_n)
 
 
 def result_record(cfg: SimConfig, result: SimResult) -> dict:

@@ -24,6 +24,16 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+def avx512_ufuncs() -> bool:
+    """Whether numpy dispatches its float64 ufuncs (cos, arccos, log2, ...) to AVX-512."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    # X86_V4 is the AVX-512 dispatch target from numpy 2.3 on, AVX512_SKX before.
+    return bool(__cpu_features__.get("X86_V4", __cpu_features__.get("AVX512_SKX")))
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr
@@ -218,8 +228,9 @@ class TestMinimize:
 
     # Digits 9-12 of x_best and y_best are search-path noise, so this text
     # moves if the golden-section search takes any other path. It was printed
-    # with numpy 2.4.6 on AVX-512 float64 ufuncs; with that dispatch disabled,
-    # 0.25/100 and 0.3/2000 print other digits, before batching as after.
+    # with numpy 2.4.6 on AVX-512 float64 ufuncs. Without that dispatch,
+    # numpy's cos and arccos round differently, and 0.25/100 and 0.3/2000
+    # print the other digits of WITHOUT_AVX512, pinned in full as well.
     # TestMinimizeFamilyRate::test_lookahead_depth_never_moves_the_search_path
     # guards the path on any platform.
     RECORD = "D_target: %s\nx_best:   %s\ny_best:   %s\nR_min:    %s\ngap:      %s\n"
@@ -251,11 +262,18 @@ class TestMinimize:
         ("0.4999", "5001", "1.57059632713", "1.57059632646", "-0.999999942292", "0"),
     ]
 
+    # (d_target, grid): x_best, y_best, R_min, gap with the AVX-512 dispatch off
+    WITHOUT_AVX512 = {
+        ("0.25", "100"): ("1.04719755691", "1.04719753406", "-0.622556248918", "0"),
+        ("0.3", "2000"): ("1.15927947496", "1.15927949418", "-0.762581798461", "2.22044604925e-16"),
+    }
+
     @pytest.mark.parametrize("fields", PINNED, ids=lambda f: "-".join(f[:2]))
     def test_stdout_pinned(self, fields, capsys):
         d_target, grid = fields[:2]
+        printed = fields[2:] if avx512_ufuncs() else self.WITHOUT_AVX512.get((d_target, grid), fields[2:])
         assert cli.main(["minimize", "--d-target", d_target, "--grid", grid]) == 0
-        assert capsys.readouterr().out == self.RECORD % (d_target, *fields[2:])
+        assert capsys.readouterr().out == self.RECORD % (d_target, *printed)
 
 
 class TestSimulate:

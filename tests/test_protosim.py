@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,15 +103,19 @@ class TestRunSimulation:
         assert result.sift_fraction == result.sifted_count / cfg.rounds
 
 
-def contract_masks(cfg, rounds):
-    """(kept, estimation pick, estimation error) of rounds [0, rounds), drawn straight from the PCG64 contract."""
-    u = np.random.Generator(np.random.PCG64(cfg.seed)).random((rounds, DRAWS_PER_ROUND))
-    n = len(cfg.params.protocol.bases)
+def floor_masks(u, n, qber):
+    """(kept, estimation pick, estimation error) of the rounds whose uniforms are the rows of u, by float floor."""
     alice_basis = np.minimum(np.floor(u[:, 1] * n), n - 1)
     bob_basis = np.minimum(np.floor(u[:, 2] * n), n - 1)
     kept = alice_basis == bob_basis
     pick = kept & (u[:, 4] < ESTIMATION_FRACTION)
-    return kept, pick, pick & (u[:, 3] < cfg.params.qber)
+    return kept, pick, pick & (u[:, 3] < qber)
+
+
+def contract_masks(cfg, rounds):
+    """The masks of rounds [0, rounds), drawn straight from the PCG64 contract."""
+    u = np.random.Generator(np.random.PCG64(cfg.seed)).random((rounds, DRAWS_PER_ROUND))
+    return floor_masks(u, len(cfg.params.protocol.bases), cfg.params.qber)
 
 
 def contract_counts(cfg):
@@ -130,16 +136,79 @@ class TestDrawContract:
         assert result.estimation_count == est
         assert result.qber_hat == err / est
 
-    @pytest.mark.parametrize("block_rounds", [None, 1000])
-    def test_worker_count_never_changes_results(self, monkeypatch, block_rounds):
+    @pytest.mark.parametrize(
+        "block_rounds, rounds",
+        [
+            pytest.param(None, ROUNDS, id="None"),
+            pytest.param(1000, ROUNDS, id="1000"),
+            pytest.param(None, 1, id="None-1"),
+            pytest.param(1, 40, id="1-40"),
+            pytest.param(7919, 1, id="7919-1"),
+            pytest.param(7919, 5_000, id="7919-below-one-block"),
+            pytest.param(7919, 3 * 7919 + 17, id="7919-ragged"),
+        ],
+    )
+    def test_worker_count_never_changes_results(self, monkeypatch, block_rounds, rounds):
         if block_rounds is not None:
             monkeypatch.setattr(protosim, "BLOCK_ROUNDS", block_rounds)
-        cfg = SimConfig(params=six_at(0.25), rounds=self.ROUNDS, seed=4242)
-        results = []
-        for cpus in (1, 4):
-            monkeypatch.setattr(protosim, "_available_cpus", lambda cpus=cpus: cpus)
-            results.append(run_simulation(cfg))
-        assert results[0] == results[1]
+        cfg = SimConfig(params=six_at(0.25), rounds=rounds, seed=4242)
+        sifted, est, err = contract_counts(cfg)
+        blocks = -(-rounds // protosim.BLOCK_ROUNDS)
+        # Hand the GIL over often, so that a block two workers both pulled,
+        # or one that none did, would show in the counts.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # One worker, three, and one per block (more CPUs than blocks).
+            for cpus in (1, 3, blocks + 2):
+                monkeypatch.setattr(protosim, "_available_cpus", lambda cpus=cpus: cpus)
+                result = run_simulation(cfg)
+                assert (result.sifted_count, result.estimation_count) == (sifted, est), cpus
+                assert result.qber_hat == (err / est if est else 0.0), cpus
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_memory_is_flat_in_the_round_count(self, monkeypatch):
+        # Each of the 2 workers holds one block of uniforms and its masks,
+        # whatever the number of rounds.
+        monkeypatch.setattr(protosim, "_available_cpus", lambda: 2)
+
+        def peak_bytes(rounds):
+            tracemalloc.start()
+            try:
+                run_simulation(SimConfig(params=bb84_at(0.1), rounds=rounds, seed=17))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # the first run's lazy imports (about 0.7 MB) are not the run's memory
+        small, large = peak_bytes(2**20), peak_bytes(2**23)
+        assert abs(large - small) <= 0.5e6
+        assert large < 3 * BLOCK_ROUNDS * DRAWS_PER_ROUND * 8
+
+
+class TestMasksKernel:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_largest_uniform_truncates_to_the_last_basis(self, n):
+        # PCG64 uniforms are k / 2^53 with k < 2^53, so a basis index never needs a clamp.
+        assert int(np.nextafter(1.0, 0.0) * n) == n - 1
+
+    @pytest.mark.parametrize("params", [bb84_at(0.11), six_at(0.2)], ids=["bb84", "six-state"])
+    def test_edge_uniforms_give_the_float_floor_masks(self, params):
+        # Every basis cut, D and the estimation fraction, each with its two
+        # float neighbours, plus both ends of [0, 1): all in every column.
+        cuts = [1 / 3, 1 / 2, 2 / 3, params.qber, ESTIMATION_FRACTION]
+        edges = {0.0, 1.0 - 2.0**-53}
+        for cut in cuts:
+            edges |= {cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)}
+        grid = np.array(list(itertools.product(sorted(edges), repeat=4)))
+        u = np.column_stack([grid[:, :1], grid])
+        n = len(params.protocol.bases)
+        batch = protosim._masks(u, n, params.qber)
+        for got, want in zip(vars(batch).values(), floor_masks(u, n, params.qber)):
+            np.testing.assert_array_equal(got, want)
+        assert batch.kept.any() and not batch.kept.all()
+        assert batch.estimation_error.any()
 
 
 class TestRoundBatch:
