@@ -16,11 +16,10 @@ without changing any result.
 
 Execution: a run is cut into blocks of ``BLOCK_ROUNDS`` (2^15) rounds. One
 worker thread per available CPU pulls the next block start from a shared
-iterator (numpy draws and ufuncs release the GIL). Each worker keeps one
-PCG64, advanced from the end of its last block to the start of its next, and
-one draw buffer of a block, and adds its blocks' three mask counts to its
-own totals. Memory is bounded by workers x one block for any number of
-rounds, and results do not depend on the worker count or the blocking.
+iterator (numpy draws and ufuncs release the GIL), simulates that block with
+``simulate_rounds`` and adds its three mask counts to its own totals.
+Memory is bounded by workers x one block for any number of rounds, and
+results do not depend on the worker count or the blocking.
 """
 
 from __future__ import annotations
@@ -131,32 +130,23 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     """Run the whole protocol and return sifted-key statistics.
 
     Deterministic in cfg (including the seed). One worker thread per
-    available CPU pulls blocks of ``BLOCK_ROUNDS`` in turn. It keeps one
-    generator, advanced over the blocks other workers took, and draws each
-    block into one reused buffer, so memory is bounded by workers x one
-    block for any number of rounds. Neither the blocking nor the worker
-    count ever changes the outcome.
+    available CPU pulls blocks of ``BLOCK_ROUNDS`` in turn and keeps its own
+    counts, so memory is bounded by workers x one block for any number of
+    rounds. Neither the blocking nor the worker count ever changes the
+    outcome.
     """
-    rounds, block, n_bases = cfg.rounds, BLOCK_ROUNDS, len(cfg.params.protocol.bases)
-    starts = range(0, rounds, block)
-    pending, lock = iter(starts), threading.Lock()
+    starts = range(0, cfg.rounds, BLOCK_ROUNDS)
+    pending = iter(starts)
+    lock = threading.Lock()
 
     def worker() -> np.ndarray:
-        bg = np.random.PCG64(cfg.seed)
-        draw = np.random.Generator(bg).random
-        buf = np.empty((min(block, rounds), DRAWS_PER_ROUND))
         totals = np.zeros(3, dtype=np.int64)
-        pos = 0
         while True:
             with lock:
                 start = next(pending, None)
             if start is None:
                 return totals
-            bg.advance((start - pos) * DRAWS_PER_ROUND)
-            pos = min(start + block, rounds)
-            u = buf[: pos - start]
-            draw(out=u)
-            batch = _masks(u, n_bases, cfg.params.qber)
+            batch = simulate_rounds(cfg, start, min(BLOCK_ROUNDS, cfg.rounds - start))
             totals += [np.count_nonzero(m) for m in (batch.kept, batch.estimation_pick, batch.estimation_error)]
 
     workers = min(_available_cpus(), len(starts))
@@ -166,7 +156,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     qber_hat = est_err / est_n if est_n else 0.0
     var = qber_hat * (1.0 - qber_hat)
     qber_se = math.sqrt(var / est_n) if est_n and var > 0.0 else 0.0
-    return SimResult(sifted, sifted / rounds, qber_hat, qber_se, est_n)
+    return SimResult(
+        sifted_count=sifted,
+        sift_fraction=sifted / cfg.rounds,
+        qber_hat=qber_hat,
+        qber_se=qber_se,
+        estimation_count=est_n,
+    )
 
 
 def result_record(cfg: SimConfig, result: SimResult) -> dict:
