@@ -9,7 +9,7 @@ import json
 import math
 
 from symqkd.attack import AttackParams
-from symqkd.protosim import SimConfig, result_record, run_simulation
+from symqkd.protosim import SimConfig, run_simulation
 
 ROUNDS = 1_000_000
 
@@ -17,18 +17,18 @@ ROUNDS = 1_000_000
 cfg = SimConfig(params=AttackParams.bb84(math.acos(0.8)), rounds=ROUNDS, seed=42)
 result = run_simulation(cfg)
 print("BB84, analytic QBER 0.1:")
-print(json.dumps(result_record(cfg, result), indent=2))
-pull = (result.qber_hat - cfg.params.qber) / result.qber_se
+print(json.dumps(result, indent=2))
+pull = (result["qber_hat"] - result["D_analytic"]) / result["qber_se"]
 print(f"-> estimate off by {pull:+.2f} standard errors\n")
 
 # Six-state at D = 1/3 (x = pi/3); only one basis in three matches.
 cfg6 = SimConfig(params=AttackParams.six_state(math.pi / 3), rounds=ROUNDS, seed=42)
 result6 = run_simulation(cfg6)
 print("six-state, analytic QBER 1/3:")
-print(json.dumps(result_record(cfg6, result6), indent=2))
+print(json.dumps(result6, indent=2))
 sift_se = math.sqrt((1 / 3) * (2 / 3) / ROUNDS)
-print(f"-> sift fraction {result6.sift_fraction:.5f} vs 1/3 "
-      f"({(result6.sift_fraction - 1 / 3) / sift_se:+.2f} sigma)\n")
+sift = result6["sift_fraction"]
+print(f"-> sift fraction {sift:.5f} vs 1/3 ({(sift - 1 / 3) / sift_se:+.2f} sigma)\n")
 
 print("reproducibility: rerunning with the same seed ...")
 again = run_simulation(cfg)

@@ -22,8 +22,8 @@ arrays, so one path serves a single attack and a whole curve.
 On Bob's side the attack acts as a uniform contraction,
 rho_B(u) = F |u><u| + D |u+1><u+1|; Eve holds the complementary output
 rho_E(u) = |F_u><F_u| + |D_u><D_u|. Both reductions are computed here, and
-``verify_symmetry`` reports in one ``ConditionReport`` the residual of every
-symmetry condition in any basis, these two output forms included, for one
+``verify_symmetry`` returns in one dict the residual of every symmetry
+condition in any basis, these two output forms included, for one
 attack or for every attack of a batch, all bases in one stacked pass.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "ANGLE_CONDITIONS",
     "BASE_CONDITIONS",
     "AttackParams",
-    "ConditionReport",
     "attack_isometry",
     "bob_state",
     "branch_states",
@@ -268,42 +267,16 @@ BASE_CONDITIONS = ("F_norm", "D_norm", "FD_ortho", "channel_contraction", "compl
 ANGLE_CONDITIONS = ("FF_overlap", "DD_overlap", "FD_cross")
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionReport:
+def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) -> dict:
     """Absolute residual of every symmetry condition, keyed (basis, condition).
-
-    Each value is a float for one attack and an array with one entry per
-    attack for a batch; the maxima below run over every key and every attack.
-    """
-
-    residuals: dict[tuple[str, str], float | np.ndarray]
-
-    @property
-    def max_residual(self) -> float:
-        return float(max(np.max(r) for r in self.residuals.values()))
-
-    def within(self, tol: float) -> bool:
-        return self.max_residual <= tol
-
-    def max_over(self, conditions: tuple[str, ...], bases: tuple[str, ...] | None = None) -> float:
-        vals = [
-            np.max(r)
-            for (b, c), r in self.residuals.items()
-            if c in conditions and (bases is None or b in bases)
-        ]
-        return float(max(vals))
-
-
-def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) -> ConditionReport:
-    """Evaluate every symmetry condition of an attack, or of each attack of a batch.
 
     By default the protocol's own bases are checked; passing ``bases``
     overrides this, e.g. to probe a BB84 attack in the Y basis (where the
     conditions fail unless y = pi/2 or x = 0). Besides the ancilla
     conditions, each basis gets the distance of Bob's state from the uniform
     contraction (``channel_contraction``) and of Eve's from the
-    complementary output (``complementary_output``); these rows follow the
-    ancilla rows of all bases. Each row is the larger residual of the
+    complementary output (``complementary_output``); these keys follow the
+    ancilla keys of all bases. Each value is the larger residual of the
     basis's two states, per attack: a float for one attack, an array shaped
     like the angles for a batch. Each quantity is computed once, over the
     stacked labels u0, u1 of every basis, with the bits of a one-label check.
@@ -329,4 +302,4 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
     rows["DD_overlap"] = abs(_dot(da[..., 0::2, :], da[..., 1::2, :]) - d * np.cos(params.y)[..., None])
     groups = (BASE_CONDITIONS[:3] + ANGLE_CONDITIONS, BASE_CONDITIONS[3:])  # ancilla rows first
     order = [(i, basis, c) for group in groups for i, basis in enumerate(bases) for c in group]
-    return ConditionReport({(basis, c): _field(np.asarray(rows[c][..., i])) for i, basis, c in order})
+    return {(basis, c): _field(np.asarray(rows[c][..., i])) for i, basis, c in order}

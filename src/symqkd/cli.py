@@ -67,8 +67,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
-    report = attack.verify_symmetry(params)
-    residuals = {f"{b}:{c}": r for (b, c), r in report.residuals.items()}
+    residuals = {f"{b}:{c}": r for (b, c), r in attack.verify_symmetry(params).items()}
     residuals["rate_identity"] = rates.dw_rate_numeric(params).identity_residual
 
     width = max(len(k) for k in residuals)
@@ -131,14 +130,13 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
     cfg = protosim.SimConfig(params=params, rounds=args.rounds, seed=args.seed)
-    result = protosim.run_simulation(cfg)
+    record = protosim.run_simulation(cfg)
     log.info(
         "simulated %d rounds: sifted %d, estimated QBER %s",
         cfg.rounds,
-        result.sifted_count,
-        _fmt(result.qber_hat),
+        record["sifted_count"],
+        _fmt(record["qber_hat"]),
     )
-    record = protosim.result_record(cfg, result)
     record = {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in record.items()}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -42,9 +42,7 @@ __all__ = [
     "RNG_NAME",
     "RoundBatch",
     "SimConfig",
-    "SimResult",
     "mismatch_outcome_check",
-    "result_record",
     "run_simulation",
     "simulate_rounds",
 ]
@@ -70,19 +68,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         if np.ndim(self.params.x) != 0:
             raise ValueError("a simulation runs one attack, not a batch")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers too, so the record is JSON-ready
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-
-
-@dataclass(frozen=True)
-class SimResult:
-    sifted_count: int
-    sift_fraction: float
-    qber_hat: float
-    qber_se: float
-    estimation_count: int
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,8 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_simulation(cfg: SimConfig) -> SimResult:
-    """Run the whole protocol and return sifted-key statistics.
+def run_simulation(cfg: SimConfig) -> dict:
+    """Run the whole protocol; return a JSON-ready record of cfg and the sifted-key statistics.
 
     Deterministic in cfg (including the seed). One worker thread per
     available CPU pulls blocks of ``BLOCK_ROUNDS`` in turn and keeps its own
@@ -156,17 +150,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     qber_hat = est_err / est_n if est_n else 0.0
     var = qber_hat * (1.0 - qber_hat)
     qber_se = math.sqrt(var / est_n) if est_n and var > 0.0 else 0.0
-    return SimResult(
-        sifted_count=sifted,
-        sift_fraction=sifted / cfg.rounds,
-        qber_hat=qber_hat,
-        qber_se=qber_se,
-        estimation_count=est_n,
-    )
-
-
-def result_record(cfg: SimConfig, result: SimResult) -> dict:
-    """JSON-ready record of a run (config echo plus statistics)."""
     return {
         "protocol": cfg.params.protocol.value,
         "x": cfg.params.x,
@@ -174,11 +157,11 @@ def result_record(cfg: SimConfig, result: SimResult) -> dict:
         "D_analytic": cfg.params.qber,
         "rounds": cfg.rounds,
         "seed": cfg.seed,
-        "sifted_count": result.sifted_count,
-        "sift_fraction": result.sift_fraction,
-        "qber_hat": result.qber_hat,
-        "qber_se": result.qber_se,
-        "estimation_count": result.estimation_count,
+        "sifted_count": sifted,
+        "sift_fraction": sifted / cfg.rounds,
+        "qber_hat": qber_hat,
+        "qber_se": qber_se,
+        "estimation_count": est_n,
         "rng_name": RNG_NAME,
     }
 

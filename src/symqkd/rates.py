@@ -238,7 +238,7 @@ def find_threshold(protocol: Protocol) -> Threshold:
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
     if abs(f_mid) > _BISECT_TOL:

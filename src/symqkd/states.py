@@ -35,10 +35,6 @@ class Protocol(Enum):
     def bases(self) -> tuple[str, ...]:
         return ("Z", "X") if self is Protocol.BB84 else ("Z", "X", "Y")
 
-    @property
-    def sift_probability(self) -> float:
-        return 1.0 / len(self.bases)
-
 
 def _index(name: str, names: str, what: str) -> int:
     """Position of a one-character name in names; anything else raises."""

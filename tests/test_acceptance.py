@@ -85,8 +85,8 @@ def test_criterion_4_symmetry_condition_suite():
     worst = 0.0
     for _ in range(50):
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)
-        worst = max(worst, verify_symmetry(AttackParams.bb84(float(x), float(y))).max_residual)
-        worst = max(worst, verify_symmetry(AttackParams.six_state(float(x))).max_residual)
+        worst = max(worst, *verify_symmetry(AttackParams.bb84(float(x), float(y))).values())
+        worst = max(worst, *verify_symmetry(AttackParams.six_state(float(x))).values())
     # A BB84 attack is six-state symmetric only on the line y = pi/2 (and at
     # x = 0); off it, its per-state conditions visibly fail in the Y basis.
     violations = []
@@ -94,8 +94,8 @@ def test_criterion_4_symmetry_condition_suite():
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)
         if abs(x - y) < 0.1:
             continue
-        rep = verify_symmetry(AttackParams.bb84(float(x), float(y)), bases=("Y",))
-        violations.append(rep.max_over(BASE_CONDITIONS))
+        residuals = verify_symmetry(AttackParams.bb84(float(x), float(y)), bases=("Y",))
+        violations.append(max(r for (_, c), r in residuals.items() if c in BASE_CONDITIONS))
     ok = worst <= 1e-12 and max(violations) > 1e-3
     report(
         4,
@@ -160,16 +160,16 @@ def test_criterion_7_monte_carlo():
     )
     res_six = run_simulation(cfg_six)
 
-    ok = abs(res_bb.qber_hat - d_bb) <= 4 * res_bb.qber_se
-    ok &= abs(res_six.qber_hat - d_six) <= 4 * res_six.qber_se
+    ok = abs(res_bb["qber_hat"] - d_bb) <= 4 * res_bb["qber_se"]
+    ok &= abs(res_six["qber_hat"] - d_six) <= 4 * res_six["qber_se"]
     se_half = math.sqrt(0.25 / cfg_bb.rounds)
     se_third = math.sqrt((1 / 3) * (2 / 3) / cfg_six.rounds)
-    ok &= abs(res_bb.sift_fraction - 0.5) <= 4 * se_half
-    ok &= abs(res_six.sift_fraction - 1 / 3) <= 4 * se_third
+    ok &= abs(res_bb["sift_fraction"] - 0.5) <= 4 * se_half
+    ok &= abs(res_six["sift_fraction"] - 1 / 3) <= 4 * se_third
     ok &= run_simulation(cfg_bb) == res_bb and run_simulation(cfg_six) == res_six
     report(
         7,
-        f"QBER estimates {res_bb.qber_hat:.4f}/{res_six.qber_hat:.4f} and sift fractions "
-        f"{res_bb.sift_fraction:.4f}/{res_six.sift_fraction:.4f} within 4 sigma; reruns bit-identical",
+        f"QBER estimates {res_bb['qber_hat']:.4f}/{res_six['qber_hat']:.4f} and sift fractions "
+        f"{res_bb['sift_fraction']:.4f}/{res_six['sift_fraction']:.4f} within 4 sigma; reruns bit-identical",
         bool(ok),
     )

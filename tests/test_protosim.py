@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -15,7 +16,6 @@ from symqkd.protosim import (
     RNG_NAME,
     SimConfig,
     mismatch_outcome_check,
-    result_record,
     run_simulation,
     simulate_rounds,
 )
@@ -47,6 +47,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="batch"):
             SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
 
+    @pytest.mark.parametrize("rounds", [1.5, 10.0, "10"])
+    def test_non_integer_rounds_rejected(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            SimConfig(params=bb84_at(0.1), rounds=rounds, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(params=bb84_at(0.1), rounds=10, seed=seed)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = SimConfig(params=bb84_at(0.1), rounds=np.int64(10), seed=np.uint64(3))
+        assert (type(cfg.rounds), type(cfg.seed)) == (int, int)
+        record = run_simulation(cfg)
+        assert record == run_simulation(SimConfig(params=bb84_at(0.1), rounds=10, seed=3))
+        json.dumps(record)
+
     def test_hashable(self):
         cfg = SimConfig(params=bb84_at(0.1), rounds=10, seed=1)
         assert cfg == cfg
@@ -57,9 +74,9 @@ class TestRunSimulation:
     def test_noiseless_channel_has_zero_qber(self):
         cfg = SimConfig(params=AttackParams.bb84(0.0, 0.0), rounds=100_000, seed=2024)
         result = run_simulation(cfg)
-        assert result.qber_hat == 0.0
-        assert result.qber_se == 0.0
-        assert result.estimation_count > 0
+        assert result["qber_hat"] == 0.0
+        assert result["qber_se"] == 0.0
+        assert result["estimation_count"] > 0
 
     def test_deterministic_given_seed(self):
         cfg = SimConfig(params=bb84_at(0.1), rounds=50_000, seed=7)
@@ -83,24 +100,24 @@ class TestRunSimulation:
         d = 0.1
         cfg = SimConfig(params=bb84_at(d), rounds=1_000_000, seed=seed)
         result = run_simulation(cfg)
-        assert abs(result.qber_hat - d) <= 4 * result.qber_se
+        assert abs(result["qber_hat"] - d) <= 4 * result["qber_se"]
         sift_se = math.sqrt(0.5 * 0.5 / cfg.rounds)
-        assert abs(result.sift_fraction - 0.5) <= 4 * sift_se
+        assert abs(result["sift_fraction"] - 0.5) <= 4 * sift_se
 
     def test_six_state_statistics(self):
         d = 1 / 3
         cfg = SimConfig(params=six_at(d), rounds=1_000_000, seed=31)
         result = run_simulation(cfg)
-        assert abs(result.qber_hat - d) <= 4 * result.qber_se
+        assert abs(result["qber_hat"] - d) <= 4 * result["qber_se"]
         third = 1 / 3
         sift_se = math.sqrt(third * (1 - third) / cfg.rounds)
-        assert abs(result.sift_fraction - third) <= 4 * sift_se
+        assert abs(result["sift_fraction"] - third) <= 4 * sift_se
 
     def test_counts_are_consistent(self):
         cfg = SimConfig(params=bb84_at(0.15), rounds=30_000, seed=5)
         result = run_simulation(cfg)
-        assert result.estimation_count <= result.sifted_count <= cfg.rounds
-        assert result.sift_fraction == result.sifted_count / cfg.rounds
+        assert result["estimation_count"] <= result["sifted_count"] <= cfg.rounds
+        assert result["sift_fraction"] == result["sifted_count"] / cfg.rounds
 
 
 def floor_masks(u, n, qber):
@@ -132,9 +149,9 @@ class TestDrawContract:
         cfg = SimConfig(params=params, rounds=self.ROUNDS, seed=90210)
         sifted, est, err = contract_counts(cfg)
         result = run_simulation(cfg)
-        assert result.sifted_count == sifted
-        assert result.estimation_count == est
-        assert result.qber_hat == err / est
+        assert result["sifted_count"] == sifted
+        assert result["estimation_count"] == est
+        assert result["qber_hat"] == err / est
 
     @pytest.mark.parametrize(
         "block_rounds, rounds",
@@ -163,8 +180,8 @@ class TestDrawContract:
             for cpus in (1, 3, blocks + 2):
                 monkeypatch.setattr(protosim, "_available_cpus", lambda cpus=cpus: cpus)
                 result = run_simulation(cfg)
-                assert (result.sifted_count, result.estimation_count) == (sifted, est), cpus
-                assert result.qber_hat == (err / est if est else 0.0), cpus
+                assert (result["sifted_count"], result["estimation_count"]) == (sifted, est), cpus
+                assert result["qber_hat"] == (err / est if est else 0.0), cpus
         finally:
             sys.setswitchinterval(switch)
 
@@ -245,7 +262,7 @@ class TestRoundBatch:
 class TestRecord:
     def test_exact_field_set(self):
         cfg = SimConfig(params=six_at(0.2), rounds=1_000, seed=9)
-        record = result_record(cfg, run_simulation(cfg))
+        record = run_simulation(cfg)
         assert list(record) == [
             "protocol",
             "x",
@@ -267,8 +284,8 @@ class TestRecord:
     def test_qber_se_formula(self):
         cfg = SimConfig(params=bb84_at(0.2), rounds=100_000, seed=21)
         result = run_simulation(cfg)
-        expected = math.sqrt(result.qber_hat * (1 - result.qber_hat) / result.estimation_count)
-        assert abs(result.qber_se - expected) <= 1e-15
+        expected = math.sqrt(result["qber_hat"] * (1 - result["qber_hat"]) / result["estimation_count"])
+        assert abs(result["qber_se"] - expected) <= 1e-15
 
 
 class TestMismatchOutcome:

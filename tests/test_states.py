@@ -93,8 +93,6 @@ def test_unknown_inputs_rejected():
 def test_protocol_basis_sets():
     assert Protocol.BB84.bases == ("Z", "X")
     assert Protocol.SIX_STATE.bases == ("Z", "X", "Y")
-    assert Protocol.BB84.sift_probability == 0.5
-    assert abs(Protocol.SIX_STATE.sift_probability - 1 / 3) <= 1e-16
 
 
 def test_serialized_labels_are_the_wire_format():
