@@ -11,7 +11,6 @@ import numpy as np
 
 from symqkd.attack import (
     AttackParams,
-    attack_isometry,
     bob_state,
     eve_state,
     induced_ancillas,
@@ -27,7 +26,7 @@ print("=" * 64)
 params = AttackParams.bb84(math.pi / 3, math.pi / 3)
 print(f"fidelity F = {params.fidelity:.6f}, QBER D = {params.qber:.6f}")
 
-v = attack_isometry(params)
+v = params.isometry
 print("\nancilla vectors (undisturbed branch / flipped branch):")
 for name, vec in zip(("F0", "D0", "F1", "D1"), induced_ancillas(v, "Z")):
     print(f"  {name} = {vec.real}")

@@ -14,8 +14,9 @@ for d in (0.02, 0.05, 0.11, 0.25):
     best = minimize_family_rate(d, grid=2000)
     target = 1.0 - 2.0 * binary_entropy(d)
     print(f"QBER D = {d}")
-    print(f"  minimizer: x = {best.x:.6f}, y = {best.y:.6f}  (diagonal: x - y = {best.x - best.y:+.1e})")
-    print(f"  R_min = {best.rate:+.9f}   1 - 2H(D) = {target:+.9f}   gap = {abs(best.rate - target):.1e}")
+    x, y, rate = best["x_best"], best["y_best"], best["R_min"]
+    print(f"  minimizer: x = {x:.6f}, y = {y:.6f}  (diagonal: x - y = {x - y:+.1e})")
+    print(f"  R_min = {rate:+.9f}   1 - 2H(D) = {target:+.9f}   gap = {abs(rate - target):.1e}")
     print()
 
 # The landscape itself, at D = 0.25: off-diagonal attacks leak less.

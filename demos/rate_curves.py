@@ -6,14 +6,12 @@ and from the closed key-rate formulas, and tabulates the agreement. Saves
 a plot to rate_curves.png when matplotlib is available.
 """
 
-from symqkd.rates import rate_curve
+from symqkd.rates import CURVE_COLUMNS, rate_curve
 from symqkd.states import Protocol
 
-point, closed = rate_curve(Protocol.BB84, 25)
-rows_bb84 = list(zip(point.D, point.R_DW, closed))
-
-point, closed = rate_curve(Protocol.SIX_STATE, 25)
-rows_six = list(zip(point.D, point.R_DW, closed))
+COLUMNS = [CURVE_COLUMNS.index(name) for name in ("D", "R_DW_numeric", "R_DW_closed")]
+rows_bb84 = rate_curve(Protocol.BB84, 25)[:, COLUMNS].tolist()
+rows_six = rate_curve(Protocol.SIX_STATE, 25)[:, COLUMNS].tolist()
 
 for label, rows in (("BB84", rows_bb84), ("six-state", rows_six)):
     print(f"\n{label}: QBER, numeric rate, closed-form rate, |diff|")

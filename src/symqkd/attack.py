@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class AttackParams:
     Scalar angles give one attack with float fields; arrays (broadcast
     together) give one attack per element, and every check covers all of
     them. Angles are reduced to [0, pi]; y defaults per protocol. ``qber`` is
-    computed once, on construction, from the reduced angles. Domains:
+    computed once, on construction, from the reduced angles; ``isometry``
+    is built on first use and kept. Domains:
 
     - BB84: x, y in [0, pi] with QBER in [0, 1); y defaults to x, the
       rate-minimizing diagonal. The edge y = pi (QBER 1) and the
@@ -135,6 +137,13 @@ class AttackParams:
     @property
     def fidelity(self):
         return 1.0 - self.qber
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """``attack_isometry(self)``, built on first use and kept read-only."""
+        v = attack_isometry(self)
+        v.flags.writeable = False
+        return v
 
 
 def attack_isometry(params: AttackParams) -> np.ndarray:
@@ -285,7 +294,7 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
         bases = params.protocol.bases
     if not bases:
         raise ValueError("verify_symmetry needs at least one basis")
-    kets, partners, psi, fa, da = _label_outputs(attack_isometry(params), bases)
+    kets, partners, psi, fa, da = _label_outputs(params.isometry, bases)
     f, d = np.asarray(params.fidelity)[..., None], np.asarray(params.qber)[..., None]  # per label
     target_b = f[..., None, None] * projector(kets) + d[..., None, None] * projector(partners)
     eve = np.einsum("...ka,...kb->...ab", psi, psi.conj())

@@ -20,8 +20,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import attack, protosim, rates
 from .states import Protocol
 
@@ -32,11 +30,10 @@ EXIT_INTERNAL = 3
 
 VERIFY_TOL = 1e-9
 
-CURVE_COLUMNS = ("x", "y", "D", "I_AB", "chi_AE", "R_DW_numeric", "R_DW_closed", "abs_diff")
 # One curve row as a CSV line, and as the object json.dumps(indent=2) writes
 # inside a list, to be filled with the JSON text of each CSV cell.
-_CSV_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS))
-_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in CURVE_COLUMNS) + "\n  }"
+_CSV_ROW = ",".join(["%.12g"] * len(rates.CURVE_COLUMNS))
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in rates.CURVE_COLUMNS) + "\n  }"
 
 log = logging.getLogger("symqkd")
 
@@ -68,7 +65,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
     residuals = {f"{b}:{c}": r for (b, c), r in attack.verify_symmetry(params).items()}
-    residuals["rate_identity"] = rates.dw_rate_numeric(params).identity_residual
+    residuals["rate_identity"] = rates.dw_rate_numeric(params)["identity_residual"]
 
     width = max(len(k) for k in residuals)
     for name, value in residuals.items():
@@ -89,15 +86,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
     the cell itself (plus '.0' if it has no '.'), re-formed only if it has
     an exponent. Every cell is finite: the library rejects non-finite values.
     """
-    point, closed = rates.rate_curve(Protocol(args.protocol), args.grid)
-    table = np.column_stack(
-        (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
-    )
+    table = rates.rate_curve(Protocol(args.protocol), args.grid)
     n = len(table)
     log.info("curve: %d points, max |numeric - closed| = %s", n, _fmt(table[:, -1].max()))
     body = "\n".join([_CSV_ROW] * n) % tuple(table.ravel().tolist())
     if args.format == "csv":
-        _emit(",".join(CURVE_COLUMNS) + "\n" + body + "\n", args.out)
+        _emit(",".join(rates.CURVE_COLUMNS) + "\n" + body + "\n", args.out)
     else:
         cells = body.replace("\n", ",").split(",")
         cells = [repr(float(c)) if "e" in c else c if "." in c else c + ".0" for c in cells]
@@ -117,13 +111,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
-    best = rates.minimize_family_rate(args.d_target, args.grid)
-    target = rates.closed_rate_bb84(args.d_target)
-    print(f"D_target: {_fmt(args.d_target)}")
-    print(f"x_best:   {_fmt(best.x)}")
-    print(f"y_best:   {_fmt(best.y)}")
-    print(f"R_min:    {_fmt(best.rate)}")
-    print(f"gap:      {_fmt(abs(best.rate - target))}")
+    record = {"D_target": args.d_target, **rates.minimize_family_rate(args.d_target, args.grid)}
+    for name, value in record.items():
+        print(f"{name + ':':<10}{_fmt(value)}")
     return EXIT_OK
 
 

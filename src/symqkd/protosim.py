@@ -87,6 +87,9 @@ class RoundBatch:
     ``estimation_pick`` marks the kept rounds reserved for error estimation
     (the rest form the key); ``estimation_error`` marks the picked rounds
     where Bob's bit differs from Alice's.
+
+    A class, not a tuple: the benchmark's tracer reads ``vars(batch)`` to
+    count rounds and bytes, and its traced smoke run fails without it.
     """
 
     kept: np.ndarray

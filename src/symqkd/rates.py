@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .attack import AttackParams, attack_isometry, eve_state, qber_bb84
+from .attack import AttackParams, eve_state, qber_bb84
 from .smallmat import hermitian_eigenvalues
 from .states import Protocol
 
 __all__ = [
-    "FamilyMinimum",
-    "RatePoint",
+    "CURVE_COLUMNS",
     "Threshold",
     "binary_entropy",
     "branch_eigenvalue",
@@ -51,6 +49,7 @@ _RATE_CONSISTENCY_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _LOOKAHEAD = 4  # golden-section steps whose points one array call evaluates ahead
 _MIN_TARGET = 1e-15  # smallest minimize target; below it cos x rounds to 1 near x* = acos(1 - 2D)
+CURVE_COLUMNS = ("x", "y", "D", "I_AB", "chi_AE", "R_DW_numeric", "R_DW_closed", "abs_diff")
 
 
 def _in_domain(v, hi: float, what: str):
@@ -109,42 +108,24 @@ def holevo_information(rho_avg, rho_u, rho_flip):
     return _holevo(rho_avg, rho_u, rho_flip)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RatePoint:
-    """One evaluation of the rate pipeline at fixed attack angles.
-
-    Fields are floats for one attack and arrays, one element per attack,
-    for a batch. ``identity_residual`` is |R_DW - (1 - S(rho_E))|, the
-    residual of the identity every symmetric attack satisfies.
-    """
-
-    x: float | np.ndarray
-    y: float | np.ndarray
-    D: float | np.ndarray
-    I_AB: float | np.ndarray
-    chi_AE: float | np.ndarray
-    R_DW: float | np.ndarray
-    identity_residual: float | np.ndarray
-
-
-def dw_rate_numeric(params: AttackParams) -> RatePoint:
+def dw_rate_numeric(params: AttackParams) -> dict:
     """Devetak-Winter rate of an attack, or of every attack of a batch, from first principles.
 
     Pipeline: isometry -> Eve's reduced states -> eigenvalues -> entropies
     -> Holevo information; then R = I_AB - chi_AE with I_AB = 1 - H(D).
     The symmetric attack also forces R = 1 - S(rho_E); a violation of that
-    identity signals an internal inconsistency and raises.
+    identity signals an internal inconsistency and raises. Returns floats
+    (one attack) or arrays (a batch) keyed I_AB, chi_AE, R_DW and
+    identity_residual = |R_DW - (1 - S(rho_E))|.
     """
-    v = attack_isometry(params)
-    rho_u, rho_flip = eve_state(v, "0"), eve_state(v, "1")
+    rho_u, rho_flip = eve_state(params.isometry, "0"), eve_state(params.isometry, "1")
     chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
-    d = params.qber
-    i_ab = 1.0 - binary_entropy(d)
+    i_ab = 1.0 - binary_entropy(params.qber)
     r = i_ab - chi
     residual = np.abs(r - (1.0 - s_avg))
     if (residual > _RATE_CONSISTENCY_TOL).any():
         raise RuntimeError("rate pipeline violates R = 1 - S(rho_E) for a symmetric attack")
-    return RatePoint(x=params.x, y=params.y, D=d, I_AB=i_ab, chi_AE=chi, R_DW=r, identity_residual=residual)
+    return {"I_AB": i_ab, "chi_AE": chi, "R_DW": r, "identity_residual": residual}
 
 
 def branch_eigenvalue(angle):
@@ -191,25 +172,31 @@ def general_rate_bb84(x, y):
     return 1.0 - h_d - (1.0 - d) * h_x - d * h_y
 
 
-def rate_curve(protocol: Protocol, grid: int) -> tuple[RatePoint, np.ndarray]:
+def rate_curve(protocol: Protocol, grid: int) -> np.ndarray:
     """Numeric and closed-form rates at ``grid`` evenly spaced attack angles x.
 
     x sweeps the QBER range of each protocol: D(x, x) in [0, 1/2] for
     BB84 (x up to pi/2, on the diagonal y = x), D(x) in [0, 2/3] for
-    six-state (x up to pi). Returns the batched ``RatePoint`` and the
-    closed-form rate of each of its attacks.
+    six-state (x up to pi). Returns a (grid, 8) table, one row per attack,
+    with the columns ``CURVE_COLUMNS``; ``abs_diff`` is |numeric - closed|.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     bb84 = protocol is Protocol.BB84
     params = AttackParams(protocol, np.linspace(0.0, math.pi / 2 if bb84 else math.pi, grid))
     closed = general_rate_bb84(params.x, params.y) if bb84 else closed_rate_six_state(params.qber)
-    return dw_rate_numeric(params), closed
+    dw = dw_rate_numeric(params)
+    r = dw["R_DW"]
+    return np.column_stack((params.x, params.y, params.qber, dw["I_AB"], dw["chi_AE"], r, closed, np.abs(r - closed)))
 
 
 @dataclass(frozen=True)
 class Threshold:
-    """Root of a closed-form rate: the QBER where the key rate vanishes."""
+    """Root of a closed-form rate: the QBER where the key rate vanishes.
+
+    A class, not a dict: the benchmark's tracer reads ``result.iterations``,
+    and its traced smoke run fails without it.
+    """
 
     D_star: float
     residual: float
@@ -246,12 +233,6 @@ def find_threshold(protocol: Protocol) -> Threshold:
     return Threshold(D_star=mid, residual=f_mid, iterations=iterations)
 
 
-class FamilyMinimum(NamedTuple):
-    x: float
-    y: float
-    rate: float
-
-
 def _constrained_y(x, d: float):
     """Angle y keeping the QBER at d for each x, and whether such a y exists.
 
@@ -263,14 +244,15 @@ def _constrained_y(x, d: float):
     return np.arccos(np.minimum(np.maximum(cy, -1.0), 1.0)), (np.abs(cy) <= 1.0 + 1e-12) & (c != 1.0)
 
 
-def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
+def minimize_family_rate(d_target: float, grid: int) -> dict:
     """Minimize the BB84 rate over all attacks with a fixed QBER.
 
     Scans x on a grid over its feasible range in one array evaluation (the
     companion angle y is solved from the QBER constraint; grid points with
     |cos y| > 1 are skipped), then refines the best cell by golden-section
     search. The minimum sits on the diagonal x = y at rate 1 - 2 H(D).
-    Targets below the floor ``_MIN_TARGET`` (1e-15) raise.
+    Targets below the floor ``_MIN_TARGET`` (1e-15) raise. Returns
+    ``{"x_best", "y_best", "R_min", "gap"}``, with gap = |R_min - (1 - 2 H(D))|.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
     steps can form, by their own float expressions, and batch rows equal scalar
@@ -327,4 +309,5 @@ def minimize_family_rate(d_target: float, grid: int) -> FamilyMinimum:
             f2 = rate(c2)
     x_best = 0.5 * (a + b)
     y_best = float(_constrained_y(x_best, d_target)[0])
-    return FamilyMinimum(x=x_best, y=y_best, rate=float(general_rate_bb84(x_best, y_best)))
+    r_min = float(general_rate_bb84(x_best, y_best))
+    return {"x_best": x_best, "y_best": y_best, "R_min": r_min, "gap": abs(r_min - closed_rate_bb84(d_target))}

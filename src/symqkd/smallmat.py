@@ -1,10 +1,10 @@
 """Dense complex linear algebra for spaces of dimension <= 8.
 
-Everything operates on plain ``complex128`` numpy arrays. The module covers
-exactly what the attack construction needs: Kronecker products, partial
-traces over a bipartite split, Hermitian eigenvalues (LAPACK through
-``np.linalg.eigvalsh``) and matrix predicates. The eigenvalue and isometry
-routines also take (..., n, n) stacks, one matrix per attack of a batch.
+Everything operates on plain ``complex128`` numpy arrays. The attack and the
+rates use projectors, the isometry predicate and Hermitian eigenvalues (LAPACK
+through ``np.linalg.eigvalsh``), all of which also take stacks, one matrix per
+attack of a batch. ``tensor`` and ``partial_trace`` have no caller in the
+package; they stay while the benchmark's per-layer metrics name them.
 
 Index convention for composite spaces: the left tensor factor varies
 slowest, i.e. a (dim_a * dim_b)-dimensional vector stores component

@@ -45,7 +45,7 @@ def test_criterion_1_bb84_closed_form_theorem():
     worst = 0.0
     for x in GRID_X:
         params = AttackParams.bb84(float(x), float(x))
-        numeric = dw_rate_numeric(params).R_DW
+        numeric = dw_rate_numeric(params)["R_DW"]
         closed = 1.0 - 2.0 * binary_entropy(params.qber)
         worst = max(worst, abs(numeric - closed))
     report(1, f"BB84 numeric pipeline vs 1-2H(D) on 200 x values (max diff {worst:.2e})", worst <= 1e-9)
@@ -55,7 +55,7 @@ def test_criterion_2_six_state_closed_form_theorem():
     worst = 0.0
     for x in GRID_X:
         params = AttackParams.six_state(float(x))
-        worst = max(worst, abs(dw_rate_numeric(params).R_DW - closed_rate_six_state(params.qber)))
+        worst = max(worst, abs(dw_rate_numeric(params)["R_DW"] - closed_rate_six_state(params.qber)))
     worst_eq = max(
         abs(closed_rate_six_state(float(d)) - closed_rate_six_state_alt(float(d)))
         for d in np.linspace(0.0, 2.0 / 3.0, 1000)
@@ -142,9 +142,9 @@ def test_criterion_6_family_minimization():
         best = minimize_family_rate(d, grid)
         target = 1.0 - 2.0 * binary_entropy(d)
         step = math.acos(max(-1.0, (1.0 - 3.0 * d) / (1.0 - d))) / grid
-        gaps.append(abs(best.rate - target))
-        ok &= abs(best.rate - target) <= 1e-6
-        ok &= abs(best.x - best.y) <= step
+        gaps.append(abs(best["R_min"] - target))
+        ok &= abs(best["R_min"] - target) <= 1e-6
+        ok &= abs(best["x_best"] - best["y_best"]) <= step
     report(6, f"minimum at x = y with rate 1-2H(D) for five targets (max gap {max(gaps):.2e})", bool(ok))
 
 

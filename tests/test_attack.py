@@ -162,6 +162,25 @@ class TestBuildIsometry:
     def test_isometry_property(self, params):
         assert is_isometry(attack_isometry(params), 1e-12)
 
+    @pytest.mark.parametrize(
+        "protocol, x, y",
+        [
+            (Protocol.BB84, 0.7, 1.9),
+            (Protocol.SIX_STATE, 1.0, None),
+            (Protocol.BB84, np.linspace(0.0, 3.0, 7), 0.4),
+            (Protocol.SIX_STATE, [0.2, 1.0, 3.1], None),
+        ],
+        ids=["bb84", "six-state", "bb84-batch", "six-state-batch"],
+    )
+    def test_params_keep_the_isometry_they_build(self, protocol, x, y):
+        params = AttackParams(protocol, x, y)
+        v = params.isometry
+        assert v is params.isometry
+        fresh = attack_isometry(params)
+        assert (v.shape, v.dtype, v.tobytes()) == (fresh.shape, fresh.dtype, fresh.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            v[..., 0, 0] = 0.0
+
 
 class TestInducedAncillas:
     def test_x_basis_norm_reproduces_qber(self):

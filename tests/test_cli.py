@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symqkd import cli, rates
+from symqkd import attack, cli, rates
 from symqkd.states import Protocol
 
 
@@ -87,6 +87,33 @@ class TestVerify:
         assert "y = pi" in cp.stderr
 
 
+class TestIsometryBuilds:
+    """verify builds the attack's isometry once and reads it twice; simulate never needs it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        """Every call of attack_isometry, through whichever symqkd module binds it."""
+        calls, build = [], attack.attack_isometry
+        for name, module in list(sys.modules.items()):
+            if name.startswith("symqkd") and getattr(module, "attack_isometry", None) is build:
+                monkeypatch.setattr(module, "attack_isometry", lambda params: calls.append(params) or build(params))
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--protocol", "bb84", "--x", "0.7", "--y", "1.9"], ["--protocol", "six-state", "--x", "1.0"]],
+        ids=["bb84", "six-state"],
+    )
+    def test_verify_builds_it_once(self, argv, builds, capsys):
+        assert cli.main(["verify", *argv]) == 0
+        assert len(builds) == 1
+
+    def test_simulate_never_builds_it(self, builds, capsys):
+        for protocol in ("bb84", "six-state"):
+            assert cli.main(["simulate", "--protocol", protocol, "--x", "0.5", "--rounds", "1000"]) == 0
+        assert builds == []
+
+
 class TestCurve:
     HEADER = "x,y,D,I_AB,chi_AE,R_DW_numeric,R_DW_closed,abs_diff"
 
@@ -120,19 +147,17 @@ class TestCurve:
         assert keys == tuple(self.HEADER.split(","))
         assert all(tuple(row) == keys for row in payload)
 
-    def stdlib_reference(self, point, closed) -> dict[str, str]:
+    def stdlib_reference(self, table) -> dict[str, str]:
         """Every CSV cell is format(v, ".12g"); JSON is json.dumps of those cells read back."""
-        table = np.column_stack(
-            (point.x, point.y, point.D, point.I_AB, point.chi_AE, point.R_DW, closed, np.abs(point.R_DW - closed))
-        ).tolist()
+        table = table.tolist()
         csv = [self.HEADER] + [",".join(format(v, ".12g") for v in row) for row in table]
-        payload = [dict(zip(cli.CURVE_COLUMNS, (float(format(v, ".12g")) for v in row))) for row in table]
+        payload = [dict(zip(rates.CURVE_COLUMNS, (float(format(v, ".12g")) for v in row))) for row in table]
         return {"csv": "\n".join(csv) + "\n", "json": json.dumps(payload, indent=2) + "\n"}
 
     @pytest.mark.parametrize("grid", [2, 3, 200, 4097])
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_output_pinned_to_stdlib_formatting(self, protocol, grid, capsys):
-        for fmt, expected in self.stdlib_reference(*rates.rate_curve(protocol, grid)).items():
+        for fmt, expected in self.stdlib_reference(rates.rate_curve(protocol, grid)).items():
             argv = ["curve", "--protocol", protocol.value, "--grid", str(grid), "--format", fmt]
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == expected
@@ -149,9 +174,9 @@ class TestCurve:
     def test_json_token_rule_on_edge_cells(self, monkeypatch, capsys):
         k = len(self.EDGE_CELLS)
         columns = [np.roll(self.EDGE_CELLS, -j) for j in range(7)]  # each cell in every column
-        point = rates.RatePoint(*columns[:6], identity_residual=np.zeros(k))
-        monkeypatch.setattr(rates, "rate_curve", lambda protocol, grid: (point, columns[6]))
-        for fmt, expected in self.stdlib_reference(point, columns[6]).items():
+        table = np.column_stack(columns + [np.abs(columns[5] - columns[6])])
+        monkeypatch.setattr(rates, "rate_curve", lambda protocol, grid: table)
+        for fmt, expected in self.stdlib_reference(table).items():
             assert cli.main(["curve", "--protocol", "bb84", "--grid", str(k), "--format", fmt]) == 0
             assert capsys.readouterr().out == expected
 
@@ -464,11 +489,11 @@ def argvs(draw) -> list[str]:
 def assert_parses(command: str, argv: list[str], stdout: str) -> None:
     """stdout is the command's format: CSV or JSON for curve, JSON for simulate, else `key value` lines."""
     if command == "curve" and "json" in argv:
-        assert all(tuple(row) == cli.CURVE_COLUMNS for row in json.loads(stdout))
+        assert all(tuple(row) == rates.CURVE_COLUMNS for row in json.loads(stdout))
     elif command == "curve":
         header, *rows = stdout.splitlines()
-        assert header == ",".join(cli.CURVE_COLUMNS)
-        assert all(len([float(cell) for cell in row.split(",")]) == len(cli.CURVE_COLUMNS) for row in rows)
+        assert header == ",".join(rates.CURVE_COLUMNS)
+        assert all(len([float(cell) for cell in row.split(",")]) == len(rates.CURVE_COLUMNS) for row in rows)
     elif command == "simulate":
         assert json.loads(stdout)["rng_name"] == "numpy-pcg64"
     else:

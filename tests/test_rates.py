@@ -14,6 +14,7 @@ from symqkd.attack import (
     eve_state,
 )
 from symqkd.rates import (
+    CURVE_COLUMNS,
     _constrained_y,
     binary_entropy,
     branch_eigenvalue,
@@ -105,38 +106,43 @@ class TestHolevo:
             holevo_information(a, a, b)
 
 
+def rate_record(params: AttackParams) -> dict:
+    """``dw_rate_numeric``'s values after the attack's own x, y and D."""
+    return {"x": params.x, "y": params.y, "D": params.qber, **dw_rate_numeric(params)}
+
+
 class TestDwRateNumeric:
     def test_noiseless_channel(self):
-        point = dw_rate_numeric(AttackParams.bb84(0.0, 0.0))
-        assert abs(point.R_DW - 1.0) <= 1e-12
-        assert point.D == 0.0 and point.chi_AE <= 1e-12
+        point = rate_record(AttackParams.bb84(0.0, 0.0))
+        assert abs(point["R_DW"] - 1.0) <= 1e-12
+        assert point["D"] == 0.0 and point["chi_AE"] <= 1e-12
 
     def test_bb84_at_quarter(self):
-        point = dw_rate_numeric(AttackParams.bb84(math.pi / 3, math.pi / 3))
-        assert abs(point.R_DW - RATE_BB84_AT_QUARTER) <= 1e-9
+        point = rate_record(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        assert abs(point["R_DW"] - RATE_BB84_AT_QUARTER) <= 1e-9
 
     def test_six_state_at_third(self):
-        point = dw_rate_numeric(AttackParams.six_state(math.pi / 3))
-        assert abs(point.R_DW - RATE_SIX_AT_THIRD) <= 1e-9
+        point = rate_record(AttackParams.six_state(math.pi / 3))
+        assert abs(point["R_DW"] - RATE_SIX_AT_THIRD) <= 1e-9
 
     def test_point_invariants(self):
         rng = np.random.default_rng(99)
         for x, y in rng.uniform(0.2, math.pi - 0.2, size=(8, 2)):
             params = AttackParams.bb84(float(x), float(y))
-            point = dw_rate_numeric(params)
-            assert point.I_AB == 1.0 - binary_entropy(point.D)
-            assert point.R_DW == point.I_AB - point.chi_AE
-            assert point.chi_AE >= 0.0
+            point = rate_record(params)
+            assert point["I_AB"] == 1.0 - binary_entropy(point["D"])
+            assert point["R_DW"] == point["I_AB"] - point["chi_AE"]
+            assert point["chi_AE"] >= 0.0
             # The same arithmetic on the same matrices, so equal to the bit.
             s_eve = von_neumann_entropy(eve_average(attack_isometry(params), "Z"))
-            assert point.identity_residual == abs(point.R_DW - (1.0 - s_eve))
+            assert point["identity_residual"] == abs(point["R_DW"] - (1.0 - s_eve))
 
     def test_agrees_with_closed_form_on_grids(self):
         for x in np.linspace(0.0, math.pi, 22)[1:-1]:
             p_bb = AttackParams.bb84(float(x), float(x))
-            assert abs(dw_rate_numeric(p_bb).R_DW - (1 - 2 * binary_entropy(p_bb.qber))) <= 1e-9
+            assert abs(dw_rate_numeric(p_bb)["R_DW"] - (1 - 2 * binary_entropy(p_bb.qber))) <= 1e-9
             p_six = AttackParams.six_state(float(x))
-            assert abs(dw_rate_numeric(p_six).R_DW - closed_rate_six_state(p_six.qber)) <= 1e-9
+            assert abs(dw_rate_numeric(p_six)["R_DW"] - closed_rate_six_state(p_six.qber)) <= 1e-9
 
     def test_holevo_same_in_every_protocol_basis(self):
         for params in [AttackParams.bb84(0.8, 1.3), AttackParams.six_state(1.1)]:
@@ -207,9 +213,9 @@ class TestClosedRates:
 
     def test_bb84_matches_numeric_rate_past_one_half(self):
         # On the diagonal x = y in [pi/2, pi) the QBER sweeps [1/2, 1), and 1 - 2 H(D) is still the rate.
-        point = dw_rate_numeric(AttackParams.bb84(np.linspace(math.pi / 2, math.pi, 4000, endpoint=False)))
-        assert abs(point.D.min() - 0.5) <= 1e-15 and point.D.max() > 0.999
-        np.testing.assert_allclose(closed_rate_bb84(point.D), point.R_DW, rtol=0, atol=1e-12)
+        point = rate_record(AttackParams.bb84(np.linspace(math.pi / 2, math.pi, 4000, endpoint=False)))
+        assert abs(point["D"].min() - 0.5) <= 1e-15 and point["D"].max() > 0.999
+        np.testing.assert_allclose(closed_rate_bb84(point["D"]), point["R_DW"], rtol=0, atol=1e-12)
 
     def test_six_state_tolerates_more_noise(self):
         for d in np.linspace(0.01, 0.3, 30):
@@ -235,7 +241,7 @@ class TestGeneralRate:
             params = AttackParams.bb84(x, y)
         except ValueError:
             reject()
-        assert abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y)) <= 1e-9
+        assert abs(dw_rate_numeric(params)["R_DW"] - general_rate_bb84(params.x, params.y)) <= 1e-9
 
     def test_cross_checked_over_the_whole_domain(self):
         # A 61x61 grid over [0, pi]^2 minus the edge y = pi, where QBER is 1
@@ -245,7 +251,7 @@ class TestGeneralRate:
         attack = y < math.pi
         assert attack.sum() == 60 * 61
         params = AttackParams.bb84(x[attack], y[attack])
-        diff = np.abs(dw_rate_numeric(params).R_DW - general_rate_bb84(params.x, params.y))
+        diff = np.abs(dw_rate_numeric(params)["R_DW"] - general_rate_bb84(params.x, params.y))
         assert diff.max() <= 1e-9
 
     # minimize_family_rate evaluates its golden-section points in batches; its
@@ -271,9 +277,10 @@ class TestGeneralRate:
 
 class TestBatches:
     def test_batch_point_compares_and_hashes_by_identity(self):
-        point = dw_rate_numeric(AttackParams.bb84([0.3, 0.5]))
-        assert point == point
-        hash(point)
+        params = AttackParams.bb84([0.3, 0.5])
+        point = dw_rate_numeric(params)  # a plain dict; the attack hashes by identity
+        assert point == point and params == params
+        hash(params)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_each_row_equals_the_single_attack_call(self, protocol):
@@ -281,11 +288,11 @@ class TestBatches:
         xs, ys = rng.uniform(0.0, math.pi - 0.05, size=(2, 40))
         if protocol is Protocol.SIX_STATE:
             ys = np.full_like(xs, math.pi / 2)
-        batch = dw_rate_numeric(AttackParams(protocol, xs, ys))
+        batch = rate_record(AttackParams(protocol, xs, ys))
         for k in range(len(xs)):
-            single = dw_rate_numeric(AttackParams(protocol, float(xs[k]), float(ys[k])))
+            single = rate_record(AttackParams(protocol, float(xs[k]), float(ys[k])))
             for field in ("x", "y", "D", "I_AB", "chi_AE", "R_DW", "identity_residual"):
-                assert abs(getattr(batch, field)[k] - getattr(single, field)) <= 1e-15
+                assert abs(batch[field][k] - single[field]) <= 1e-15
 
     def test_one_out_of_domain_point_rejects_the_batch(self):
         ok = [0.3, 1.0, 2.0]
@@ -310,6 +317,18 @@ class TestBatches:
 
 
 class TestRateCurve:
+    # Chunking the curve must keep these bits: the angle grid of one linspace
+    # call, its exact last point included, and abs_diff from the same two columns.
+    @pytest.mark.parametrize("grid", [2, 3, 200, 4097])
+    @pytest.mark.parametrize("protocol, hi", [(Protocol.BB84, math.pi / 2), (Protocol.SIX_STATE, math.pi)])
+    def test_angles_and_abs_diff_bit_for_bit(self, protocol, hi, grid):
+        table = rate_curve(protocol, grid)
+        assert table.shape == (grid, len(CURVE_COLUMNS))
+        col = dict(zip(CURVE_COLUMNS, table.T))
+        assert col["x"][-1] == hi
+        assert col["x"].tobytes() == np.linspace(0.0, hi, grid).tobytes()
+        assert col["abs_diff"].tobytes() == np.abs(col["R_DW_numeric"] - col["R_DW_closed"]).tobytes()
+
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_grid_below_two_rejected(self, grid):
         with pytest.raises(ValueError, match="grid must be at least 2"):
@@ -340,20 +359,20 @@ class TestThreshold:
 class TestMinimizeFamilyRate:
     def test_five_percent(self):
         best = minimize_family_rate(0.05, 400)
-        assert abs(best.rate - RATE_BB84_AT_5PC) <= 1e-6
-        assert abs(best.x - math.acos(0.9)) <= 1e-4
-        assert abs(best.x - best.y) <= math.pi / 400
+        assert abs(best["R_min"] - RATE_BB84_AT_5PC) <= 1e-6
+        assert abs(best["x_best"] - math.acos(0.9)) <= 1e-4
+        assert abs(best["x_best"] - best["y_best"]) <= math.pi / 400
 
     def test_eleven_percent_sits_just_above_zero(self):
         best = minimize_family_rate(0.11, 400)
-        assert abs(best.rate - RATE_BB84_AT_11PC) <= 1e-6
-        assert best.rate > 0.0
+        assert abs(best["R_min"] - RATE_BB84_AT_11PC) <= 1e-6
+        assert best["R_min"] > 0.0
 
     def test_quarter_lands_on_pi_thirds(self):
         best = minimize_family_rate(0.25, 400)
-        assert abs(best.x - math.pi / 3) <= 1e-4
-        assert abs(best.y - math.pi / 3) <= 1e-4
-        assert abs(best.rate - RATE_BB84_AT_QUARTER) <= 1e-6
+        assert abs(best["x_best"] - math.pi / 3) <= 1e-4
+        assert abs(best["y_best"] - math.pi / 3) <= 1e-4
+        assert abs(best["R_min"] - RATE_BB84_AT_QUARTER) <= 1e-6
 
     @pytest.mark.parametrize("grid", [2000, 2001, 5000])
     @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45])
@@ -366,9 +385,10 @@ class TestMinimizeFamilyRate:
         """
         best = minimize_family_rate(d, grid)
         x_star = math.acos(1.0 - 2.0 * d)
-        assert abs(best.x - x_star) <= 1e-7
-        assert abs(best.y - x_star) <= 1e-7
-        assert abs(best.rate - closed_rate_bb84(d)) <= 1e-12
+        assert abs(best["x_best"] - x_star) <= 1e-7
+        assert abs(best["y_best"] - x_star) <= 1e-7
+        assert abs(best["R_min"] - closed_rate_bb84(d)) <= 1e-12
+        assert best["gap"] == abs(best["R_min"] - closed_rate_bb84(d))
 
     @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=70), st.floats(1e-6, 0.5, exclude_max=True))
     def test_constrained_y_rows_equal_scalar_calls_bit_for_bit(self, xs, d):
