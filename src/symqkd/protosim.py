@@ -59,7 +59,10 @@ BLOCK_ROUNDS = 2**15
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible protocol run; the protocol is the attack's."""
+    """One reproducible protocol run; the protocol is the attack's.
+
+    ``rounds`` runs from 1 to 2**63 - 1, the range of the int64 counts.
+    """
 
     params: AttackParams
     rounds: int
@@ -73,8 +76,8 @@ class SimConfig:
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers too, so the record is JSON-ready
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        if not 1 <= self.rounds < 2**63:
+            raise ValueError(f"rounds must be between 1 and 2**63 - 1, not {self.rounds}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

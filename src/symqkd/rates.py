@@ -215,22 +215,15 @@ def find_threshold(protocol: Protocol) -> Threshold:
     else:
         fn, hi = closed_rate_six_state, 0.6
     lo = 1e-6
-    f_lo, f_hi = fn(lo), fn(hi)
-    if not f_lo > 0.0 > f_hi:
+    if not fn(lo) > 0.0 > fn(hi):
         raise RuntimeError(f"rate does not change sign over [{lo}, {hi}]")
-    iterations = 0
-    mid, f_mid = 0.5 * (lo + hi), fn(0.5 * (lo + hi))
-    while abs(f_mid) > _BISECT_TOL and iterations < 200:
-        iterations += 1
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    for iterations in range(201):  # the rate stays positive at lo and turns negative by hi
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
-    if abs(f_mid) > _BISECT_TOL:
-        raise RuntimeError("bisection failed to reach tolerance")
-    return Threshold(D_star=mid, residual=f_mid, iterations=iterations)
+        if abs(f_mid) <= _BISECT_TOL:
+            return Threshold(D_star=mid, residual=f_mid, iterations=iterations)
+        lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
+    raise RuntimeError("bisection failed to reach tolerance")
 
 
 def _constrained_y(x, d: float):
@@ -255,9 +248,10 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
     ``{"x_best", "y_best", "R_min", "gap"}``, with gap = |R_min - (1 - 2 H(D))|.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
-    steps can form, by their own float expressions, and batch rows equal scalar
-    calls bit for bit: the path is unchanged. The points stay within a step of
-    the scan's minimum; ``rate_at`` raises only as x -> 0, below xs[0].
+    steps can form; the search and that lookahead step by one ``shrink``, and
+    batch rows equal scalar calls bit for bit: the path is unchanged. The
+    points stay within a step of the scan's minimum; ``rate_at`` raises only
+    as x -> 0, below xs[0].
     """
     if not 0.0 < d_target < 0.5:
         raise ValueError(f"target QBER {d_target} outside (0, 1/2)")
@@ -284,30 +278,22 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
     a = max(float(xs[best_i]) - step, 0.5 * step)
     b = min(float(xs[best_i]) + step, x_hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    known: dict[float, float] = {}
 
-    def rate(c: float) -> float:
-        if c not in known:  # evaluate the current bracket (a, b, c1, c2) and all it can lead to
-            level, points = [(a, b, c1, c2)], [c1, c2]
-            for _ in range(_LOOKAHEAD):  # the brackets after f1 < f2 and after f1 >= f2
-                level = [t for lo, hi, p, q in level
-                         for t in ((lo, q, q - invphi * (q - lo), p), (p, hi, q, p + invphi * (hi - p)))]
+    def shrink(a, b, c1, c2, left):
+        """The bracket after one step: [a, c2] if f(c1) < f(c2), else [c1, b], with its new inner point."""
+        return (a, c2, c2 - invphi * (c2 - a), c1) if left else (c1, b, c2, c1 + invphi * (b - c1))
+
+    bracket, known = (a, b, b - invphi * (b - a), a + invphi * (b - a)), {}
+    while bracket[1] - bracket[0] > 1e-12:
+        c1, c2 = bracket[2:]
+        if c1 not in known or c2 not in known:  # evaluate the bracket and all the next steps can form
+            level, points = [bracket], [c1, c2]
+            for _ in range(_LOOKAHEAD):
+                level = [shrink(*t, left) for t in level for left in (True, False)]
                 points += [t[2 + i % 2] for i, t in enumerate(level)]
             known.update(zip(points, rate_at(np.array(points)).tolist()))
-        return known[c]
-
-    f1, f2 = rate(c1), rate(c2)
-    while b - a > 1e-12:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = rate(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = rate(c2)
-    x_best = 0.5 * (a + b)
+        bracket = shrink(*bracket, known[c1] < known[c2])
+    x_best = 0.5 * (bracket[0] + bracket[1])
     y_best = float(_constrained_y(x_best, d_target)[0])
     r_min = float(general_rate_bb84(x_best, y_best))
     return {"x_best": x_best, "y_best": y_best, "R_min": r_min, "gap": abs(r_min - closed_rate_bb84(d_target))}

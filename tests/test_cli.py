@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -15,8 +16,6 @@ from symqkd.states import Protocol
 
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
-    import os
-
     env = os.environ.copy()
     if env_extra:
         env.update(env_extra)
@@ -336,6 +335,26 @@ class TestSimulate:
         cp = run_cli("simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", "0")
         assert cp.returncode == 2
 
+    def test_rounds_past_the_int64_counts_exit_two(self, capsys):
+        rounds = str(10**30)
+        assert cli.main(["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", rounds, "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: rounds must be between 1 and 2**63 - 1, not {rounds}\n")
+
+    # The child pins itself to one CPU of its affinity set, as `taskset -c` does,
+    # before the simulator counts the CPUs it may use.
+    PIN_TO_ONE_CPU = (
+        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from symqkd import cli, protosim; assert protosim._available_cpus() == 1; sys.exit(cli.main(sys.argv[1:]))"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_cpu_run_prints_the_bytes_of_an_unpinned_run(self):
+        """Pinned to one CPU the simulator runs one worker, unpinned one per CPU: same bytes."""
+        argv = ["simulate", "--protocol", "six-state", "--x", "0.9", "--rounds", "300000", "--seed", "11"]
+        pinned = subprocess.run([sys.executable, "-c", self.PIN_TO_ONE_CPU, *argv], capture_output=True, text=True)
+        assert (pinned.returncode, pinned.stderr) == (0, "")
+        assert pinned.stdout == run_cli(*argv).stdout
+
     # The JSON record, byte for byte, on both sides of a block boundary
     # (32769 is one round past a block) and for a ragged run.
     RECORD = """{
@@ -420,6 +439,20 @@ class TestEnvironment:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["verify", "--protocol", "bb84", "--x", "-1e-3"], 0, ""),
+            (["minimize", "--d-target", "-1e-3"], 2, "error: target QBER -0.001 outside (0, 1/2)\n"),
+        ],
+        ids=["verify", "minimize"],
+    )
+    def test_negative_value_binds_to_its_option(self, argv, code, err):
+        """`--opt -1e-3` is `--opt=-1e-3`, not a flag: the option's own check judges the value."""
+        result = run_in_process(argv)
+        assert (result[0], result[2]) == (code, err)
+        assert run_in_process([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == result
+
     def test_each_in_process_call_applies_its_own_log_level_and_stderr(self, monkeypatch):
         monkeypatch.delenv("QKD_LOG", raising=False)
         with contextlib.redirect_stderr(io.StringIO()) as first:
@@ -482,7 +515,8 @@ def argvs(draw) -> list[str]:
     if draw(st.booleans()):
         argv += ["--y", draw(FLOATS)]
     if command == "simulate":
-        argv += ["--rounds", str(draw(st.integers(-3, 2**16))), "--seed", str(draw(st.integers(-1, 2**64)))]
+        rounds = draw(st.one_of(st.integers(-3, 2**16), st.integers(2**63, 2**100)))
+        argv += ["--rounds", str(rounds), "--seed", str(draw(st.integers(-1, 2**64)))]
     return argv
 
 

@@ -57,6 +57,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             SimConfig(params=bb84_at(0.1), rounds=10, seed=seed)
 
+    def test_rounds_end_below_two_to_the_63(self):
+        # The int64 counts hold any round count up to 2**63 - 1; neither config runs a simulation.
+        assert SimConfig(params=bb84_at(0.1), rounds=2**63 - 1, seed=1).rounds == 2**63 - 1
+        with pytest.raises(ValueError, match=r"between 1 and 2\*\*63 - 1, not 9223372036854775808"):
+            SimConfig(params=bb84_at(0.1), rounds=2**63, seed=1)
+
     def test_numpy_integers_stored_as_int(self):
         cfg = SimConfig(params=bb84_at(0.1), rounds=np.int64(10), seed=np.uint64(3))
         assert (type(cfg.rounds), type(cfg.seed)) == (int, int)
