@@ -49,6 +49,7 @@ _RATE_CONSISTENCY_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _LOOKAHEAD = 4  # golden-section steps whose points one array call evaluates ahead
 _MIN_TARGET = 1e-15  # smallest minimize target; below it cos x rounds to 1 near x* = acos(1 - 2D)
+_MAX_GRID = 2**40  # largest grid; no machine holds its arrays, and past 2**63 numpy's sizes overflow
 CURVE_COLUMNS = ("x", "y", "D", "I_AB", "chi_AE", "R_DW_numeric", "R_DW_closed", "abs_diff")
 
 
@@ -64,6 +65,14 @@ def _in_domain(v, hi: float, what: str):
 def _xlog2x(p):
     """p log2 p elementwise for p >= 0, with its limit 0 at p = 0."""
     return p * np.log2(p + (p == 0.0))
+
+
+def _check_grid(grid: int, least: int) -> None:
+    """Reject a grid below ``least`` or above ``_MAX_GRID``, before anything is allocated."""
+    if grid < least:
+        raise ValueError(f"grid must be at least {least}")
+    if grid > _MAX_GRID:
+        raise ValueError(f"grid must be at most 2**40, not {grid}")
 
 
 def binary_entropy(p):
@@ -179,9 +188,9 @@ def rate_curve(protocol: Protocol, grid: int) -> np.ndarray:
     BB84 (x up to pi/2, on the diagonal y = x), D(x) in [0, 2/3] for
     six-state (x up to pi). Returns a (grid, 8) table, one row per attack,
     with the columns ``CURVE_COLUMNS``; ``abs_diff`` is |numeric - closed|.
+    ``grid`` runs from 2 to ``_MAX_GRID`` (2**40).
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    _check_grid(grid, 2)
     bb84 = protocol is Protocol.BB84
     params = AttackParams(protocol, np.linspace(0.0, math.pi / 2 if bb84 else math.pi, grid))
     closed = general_rate_bb84(params.x, params.y) if bb84 else closed_rate_six_state(params.qber)
@@ -244,7 +253,8 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
     companion angle y is solved from the QBER constraint; grid points with
     |cos y| > 1 are skipped), then refines the best cell by golden-section
     search. The minimum sits on the diagonal x = y at rate 1 - 2 H(D).
-    Targets below the floor ``_MIN_TARGET`` (1e-15) raise. Returns
+    Targets below the floor ``_MIN_TARGET`` (1e-15) raise, and so does a
+    grid outside 100 to ``_MAX_GRID`` (2**40). Returns
     ``{"x_best", "y_best", "R_min", "gap"}``, with gap = |R_min - (1 - 2 H(D))|.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
@@ -257,8 +267,7 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
         raise ValueError(f"target QBER {d_target} outside (0, 1/2)")
     if d_target < _MIN_TARGET:
         raise ValueError(f"target QBER {d_target} below minimize's floor {_MIN_TARGET:g}")
-    if grid < 100:
-        raise ValueError("grid must be at least 100")
+    _check_grid(grid, 100)
     # cos(y) <= 1 bounds cos(x) from below; x = 0 is a degenerate corner.
     x_hi = math.acos(max(-1.0, (1.0 - 3.0 * d_target) / (1.0 - d_target)))
     xs = np.linspace(0.0, x_hi, grid + 1)[1:]

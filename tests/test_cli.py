@@ -440,6 +440,32 @@ class TestEnvironment:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--protocol", "bb84", "--grid", "9223372036854775807"],
+            ["curve", "--protocol", "six-state", "--grid", "9223372036854775806"],
+            ["minimize", "--d-target", "0.1", "--grid", "9223372036854775806"],
+            ["curve", "--protocol", "bb84", "--grid", str(2**40 + 1)],
+            ["minimize", "--d-target", "0.1", "--grid", str(2**40 + 1)],
+        ],
+        ids=["curve-2**63-1", "curve-2**63-2", "minimize-2**63-2", "curve-2**40+1", "minimize-2**40+1"],
+    )
+    def test_grid_above_the_ceiling_exits_two(self, argv):
+        """Past 2**40 a grid is refused before numpy sizes it; near 2**63 that size overflowed."""
+        assert run_in_process(argv) == (2, "", f"error: grid must be at most 2**40, not {argv[-1]}\n")
+
+    @pytest.mark.parametrize("command", ["curve", "minimize"])
+    def test_grid_at_the_ceiling_is_not_refused(self, command, monkeypatch):
+        """2**40 itself passes the ceiling and goes on to allocate, here a stand-in that cannot."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("stand-in allocation failure")
+
+        monkeypatch.setattr(np, "linspace", out_of_memory)
+        argv = ["curve", "--protocol", "bb84"] if command == "curve" else ["minimize", "--d-target", "0.1"]
+        assert run_in_process([*argv, "--grid", str(2**40)]) == (2, "", "error: stand-in allocation failure\n")
+
+    @pytest.mark.parametrize(
         "argv, code, err",
         [
             (["verify", "--protocol", "bb84", "--x", "-1e-3"], 0, ""),
@@ -496,8 +522,9 @@ EDGE_FLOATS = (
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, math.pi)).map(repr)
 # Bounded so that no example asks for a large allocation; the MemoryError
 # path is pinned by test_size_too_large_for_memory_exits_two. The second range
-# reaches minimize's floor of 100 more often than the first alone.
-GRIDS = st.one_of(st.integers(-3, 5000), st.integers(90, 300)).map(str)
+# reaches minimize's floor of 100 more often than the first alone, and the
+# third lies above the grid ceiling of 2**40, around numpy's int64 sizes.
+GRIDS = st.one_of(st.integers(-3, 5000), st.integers(90, 300), st.integers(2**62, 2**63 + 1)).map(str)
 
 
 @st.composite

@@ -210,6 +210,64 @@ class TestDrawContract:
         assert large < 3 * BLOCK_ROUNDS * DRAWS_PER_ROUND * 8
 
 
+class TestWorkerStream:
+    """A worker draws every block it pulls from one PCG64 stream into one buffer."""
+
+    # Gaps of several blocks between the starts one worker pulls, and a ragged last block.
+    BLOCK = 1_000
+    BLOCKS = [(0, 1_000), (1_000, 1_000), (4_000, 1_000), (9_000, 1_000), (14_000, 17)]
+
+    @pytest.mark.parametrize("params", [bb84_at(0.11), six_at(0.2)], ids=["bb84", "six-state"])
+    def test_reused_stream_equals_fresh_calls(self, params):
+        cfg = SimConfig(params=params, rounds=14_017, seed=31337)
+        stream = protosim._Stream(cfg.seed, self.BLOCK)
+        for start, count in self.BLOCKS:
+            reused, fresh = simulate_rounds(cfg, start, count, stream), simulate_rounds(cfg, start, count)
+            for got, want in zip(vars(reused).values(), vars(fresh).values()):
+                assert got.shape == (count,)
+                np.testing.assert_array_equal(got, want)
+
+    def test_masks_outlive_the_next_draw_into_the_buffer(self):
+        cfg = SimConfig(params=bb84_at(0.11), rounds=2 * self.BLOCK, seed=8)
+        stream = protosim._Stream(cfg.seed, self.BLOCK)
+        first = simulate_rounds(cfg, 0, self.BLOCK, stream)
+        kept = [mask.copy() for mask in vars(first).values()]
+        simulate_rounds(cfg, self.BLOCK, self.BLOCK, stream)
+        for mask, copy in zip(vars(first).values(), kept):
+            assert not np.shares_memory(mask, stream.buffer)
+            np.testing.assert_array_equal(mask, copy)
+
+    def test_run_draws_each_block_once_through_simulate_rounds(self, monkeypatch):
+        monkeypatch.setattr(protosim, "_available_cpus", lambda: 2)
+        real, calls = protosim.simulate_rounds, []
+
+        def counted(cfg, start, count, stream=None):
+            batch = real(cfg, start, count, stream)
+            calls.append((start, len(batch.kept), stream))
+            return batch
+
+        monkeypatch.setattr(protosim, "simulate_rounds", counted)
+        cfg = SimConfig(params=six_at(0.2), rounds=3 * BLOCK_ROUNDS + 17, seed=99)
+        run_simulation(cfg)
+        assert len(calls) == math.ceil(cfg.rounds / BLOCK_ROUNDS) == 4
+        assert sum(length for _, length, _ in calls) == cfg.rounds
+        assert sorted(start for start, _, _ in calls) == list(range(0, cfg.rounds, BLOCK_ROUNDS))
+        # Every block came from a worker's stream; there are at most 2 workers.
+        streams = [stream for _, _, stream in calls]
+        assert None not in streams and 1 <= len({id(stream) for stream in streams}) <= 2
+
+    def test_one_round_run_allocates_no_full_block(self):
+        cfg = SimConfig(params=bb84_at(0.1), rounds=1, seed=17)
+        run_simulation(cfg)  # the first run's lazy imports are not the run's memory
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_ROUNDS * DRAWS_PER_ROUND * 8 / 4
+
+
 class TestMasksKernel:
     @pytest.mark.parametrize("n", [2, 3])
     def test_largest_uniform_truncates_to_the_last_basis(self, n):
