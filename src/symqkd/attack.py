@@ -60,7 +60,11 @@ _PIN_TOL = 1e-11
 
 def qber_bb84(x, y):
     """QBER induced by the two-angle BB84 attack: (1-cos x)/(2-cos x+cos y)."""
-    cx, cy = np.cos(x), np.cos(y)
+    return _qber_from_cosines(np.cos(x), np.cos(y))
+
+
+def _qber_from_cosines(cx, cy):
+    """``qber_bb84`` at angles whose cosines are cx and cy."""
     den = 2.0 - cx + cy
     if (np.abs(den) < 1e-12).any():
         raise ValueError("degenerate attack angles: 2 - cos(x) + cos(y) vanishes")
@@ -153,22 +157,23 @@ def attack_isometry(params: AttackParams) -> np.ndarray:
     stack that ``induced_ancillas(v, "Z")`` reads back exactly. Their Gram
     matrix must meet the symmetry constraints (equal branch norms summing
     to one, orthogonality within and across branches) and V^dag V = I must
-    hold; a violation of either raises.
+    hold; a violation of either raises. Every entry is real, so both checks
+    run on float64 arrays and V is cast to complex once, when it is returned.
     """
     d = params.qber
     sf, sd = np.sqrt(1.0 - d), np.sqrt(d)
-    q = np.zeros(np.shape(d) + (4, 4), dtype=complex)  # rows F0, D0, F1, D1
+    q = np.zeros(np.shape(d) + (4, 4))  # rows F0, D0, F1, D1
     q[..., 0, 0] = sf
     q[..., 1, 1] = sd
     q[..., 2, 0], q[..., 2, 3] = sf * np.cos(params.x), sf * np.sin(params.x)
     q[..., 3, 1], q[..., 3, 2] = sd * np.cos(params.y), sd * np.sin(params.y)
-    g = q.conj() @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>
-    nf, nd = g[..., 0, 0].real, g[..., 1, 1].real
+    g = q @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>
+    nf, nd = g[..., 0, 0], g[..., 1, 1]
     residual = np.max(
         np.abs(
             [
-                g[..., 2, 2].real - nf,
-                g[..., 3, 3].real - nd,
+                g[..., 2, 2] - nf,
+                g[..., 3, 3] - nd,
                 nf + nd - 1.0,
                 g[..., 0, 1],
                 g[..., 2, 3],
@@ -184,7 +189,7 @@ def attack_isometry(params: AttackParams) -> np.ndarray:
     v = q[..., [[0, 3], [1, 2]], :].swapaxes(-1, -2).reshape(q.shape[:-2] + (8, 2))
     if not is_isometry(v, _QUAD_TOL):
         raise ValueError("constructed map is not an isometry")
-    return v
+    return v.astype(complex)
 
 
 def _output(v: np.ndarray, kets: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, eve_state, qber_bb84
+from .attack import AttackParams, _output, _qber_from_cosines
 from .smallmat import hermitian_eigenvalues
-from .states import Protocol
+from .states import SIGNAL_STATES, Protocol
 
 __all__ = [
     "CURVE_COLUMNS",
@@ -127,7 +127,9 @@ def dw_rate_numeric(params: AttackParams) -> dict:
     (one attack) or arrays (a batch) keyed I_AB, chi_AE, R_DW and
     identity_residual = |R_DW - (1 - S(rho_E))|.
     """
-    rho_u, rho_flip = eve_state(params.isometry, "0"), eve_state(params.isometry, "1")
+    psi = _output(params.isometry, SIGNAL_STATES[:2])  # V|0> and V|1>, stacked on one axis
+    rho = np.einsum("...ka,...kb->...ab", psi, psi.conj())  # Eve's state for each, as eve_state forms it
+    rho_u, rho_flip = rho[..., 0, :, :], rho[..., 1, :, :]
     chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
     i_ab = 1.0 - binary_entropy(params.qber)
     r = i_ab - chi
@@ -139,7 +141,12 @@ def dw_rate_numeric(params: AttackParams) -> dict:
 
 def branch_eigenvalue(angle):
     """Nontrivial eigenvalue (1 - |cos angle|)/2 of a two-vector branch average."""
-    return 0.5 * (1.0 - np.abs(np.cos(angle)))
+    return _branch_from_cosine(np.cos(angle))
+
+
+def _branch_from_cosine(c):
+    """``branch_eigenvalue`` of the angle whose cosine is c."""
+    return 0.5 * (1.0 - np.abs(c))
 
 
 def closed_rate_bb84(d):
@@ -176,8 +183,15 @@ def general_rate_bb84(x, y):
     R = 1 - H(D) - (1-D) H(b(x)) - D H(b(y)) with b the branch eigenvalue.
     Coincides with 1 - 2 H(D) on the diagonal x = y.
     """
-    d = qber_bb84(x, y)
-    h_d, h_x, h_y = binary_entropy(np.stack(np.broadcast_arrays(d, branch_eigenvalue(x), branch_eigenvalue(y))))
+    return _rate_from_cosines(np.cos(x), np.cos(y))
+
+
+def _rate_from_cosines(cx, cy):
+    """``general_rate_bb84`` at the angles whose cosines are cx and cy; the fixed-QBER search calls it too."""
+    d = _qber_from_cosines(cx, cy)
+    p = np.empty((3,) + np.shape(d))  # d has the shape cx and cy broadcast to
+    p[0], p[1], p[2] = d, _branch_from_cosine(cx), _branch_from_cosine(cy)
+    h_d, h_x, h_y = binary_entropy(p)
     return 1.0 - h_d - (1.0 - d) * h_x - d * h_y
 
 
@@ -235,15 +249,21 @@ def find_threshold(protocol: Protocol) -> Threshold:
     raise RuntimeError("bisection failed to reach tolerance")
 
 
-def _constrained_y(x, d: float):
-    """Angle y keeping the QBER at d for each x, and whether such a y exists.
+def _constrained_y(c, d: float):
+    """Angle y keeping the QBER at d for each x, given c = cos x, and whether such a y exists.
 
     Where |cos y| would exceed 1 the returned y is the nearest end of [0, pi]; no y exists
     there, nor where cos x rounds to 1 (the QBER is 0 for every y).
     """
-    c = np.cos(x)
     cy = (1.0 - c) / d - 2.0 + c
     return np.arccos(np.minimum(np.maximum(cy, -1.0), 1.0)), (np.abs(cy) <= 1.0 + 1e-12) & (c != 1.0)
+
+
+def _fixed_qber_rate(x, d: float):
+    """Rate at each x on the curve of QBER d, +inf where no y exists: the f of the fixed-QBER search."""
+    cx = np.cos(x)
+    y, feasible = _constrained_y(cx, d)
+    return np.where(feasible, _rate_from_cosines(cx, np.cos(np.where(feasible, y, 0.0))), math.inf)
 
 
 def minimize_family_rate(d_target: float, grid: int) -> dict:
@@ -258,10 +278,10 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
     ``{"x_best", "y_best", "R_min", "gap"}``, with gap = |R_min - (1 - 2 H(D))|.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
-    steps can form; the search and that lookahead step by one ``shrink``, and
-    batch rows equal scalar calls bit for bit: the path is unchanged. The
-    points stay within a step of the scan's minimum; ``rate_at`` raises only
-    as x -> 0, below xs[0].
+    steps can form. Those steps' brackets are built once, as a heap the
+    search then walks, and batch rows equal scalar calls bit for bit: the
+    path is that of one call per point. The points stay within a step of the
+    scan's minimum; ``_fixed_qber_rate`` raises only as x -> 0, below xs[0].
     """
     if not 0.0 < d_target < 0.5:
         raise ValueError(f"target QBER {d_target} outside (0, 1/2)")
@@ -272,12 +292,7 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
     x_hi = math.acos(max(-1.0, (1.0 - 3.0 * d_target) / (1.0 - d_target)))
     xs = np.linspace(0.0, x_hi, grid + 1)[1:]
 
-    def rate_at(x):
-        """Rate at each x on the fixed-QBER curve; +inf where no y exists."""
-        y, feasible = _constrained_y(x, d_target)
-        return np.where(feasible, general_rate_bb84(x, np.where(feasible, y, 0.0)), math.inf)
-
-    scan = rate_at(xs)
+    scan = _fixed_qber_rate(xs, d_target)
     best_i = int(np.argmin(scan))
     if not np.isfinite(scan[best_i]):
         raise ValueError("no feasible attack angles at this QBER")
@@ -292,17 +307,24 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
         """The bracket after one step: [a, c2] if f(c1) < f(c2), else [c1, b], with its new inner point."""
         return (a, c2, c2 - invphi * (c2 - a), c1) if left else (c1, b, c2, c1 + invphi * (b - c1))
 
-    bracket, known = (a, b, b - invphi * (b - a), a + invphi * (b - a)), {}
+    bracket, tree = (a, b, b - invphi * (b - a), a + invphi * (b - a)), None
     while bracket[1] - bracket[0] > 1e-12:
-        c1, c2 = bracket[2:]
-        if c1 not in known or c2 not in known:  # evaluate the bracket and all the next steps can form
-            level, points = [bracket], [c1, c2]
-            for _ in range(_LOOKAHEAD):
-                level = [shrink(*t, left) for t in level for left in (True, False)]
-                points += [t[2 + i % 2] for i, t in enumerate(level)]
-            known.update(zip(points, rate_at(np.array(points)).tolist()))
-        bracket = shrink(*bracket, known[c1] < known[c2])
+        if tree is None:  # build the brackets of the next _LOOKAHEAD steps and evaluate all their points
+            tree = [None, bracket]  # a heap: bracket n steps to 2n if f(c1) < f(c2), else to 2n + 1
+            for n in range(1, 2**_LOOKAHEAD):
+                tree += [shrink(*tree[n], True), shrink(*tree[n], False)]
+            # f[n] is f at the point bracket n adds; f[0] and f[1] at the root's c1 and c2.
+            points = [*bracket[2:], *(t[2 + n % 2] for n, t in enumerate(tree[2:], 2))]
+            f = _fixed_qber_rate(np.array(points), d_target).tolist()
+            n, i1, i2 = 1, 0, 1  # the bracket's node, and where f holds its c1 and c2
+        left = f[i1] < f[i2]
+        if 2 * n < len(tree):
+            n = 2 * n + (not left)
+            bracket, (i1, i2) = tree[n], ((n, i1) if left else (i2, n))
+        else:
+            bracket, tree = shrink(*bracket, left), None
     x_best = 0.5 * (bracket[0] + bracket[1])
-    y_best = float(_constrained_y(x_best, d_target)[0])
-    r_min = float(general_rate_bb84(x_best, y_best))
+    cx = np.cos(x_best)
+    y_best = float(_constrained_y(cx, d_target)[0])
+    r_min = float(_rate_from_cosines(cx, np.cos(y_best)))
     return {"x_best": x_best, "y_best": y_best, "R_min": r_min, "gap": abs(r_min - closed_rate_bb84(d_target))}

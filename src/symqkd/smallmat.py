@@ -1,9 +1,10 @@
 """Dense complex linear algebra for spaces of dimension <= 8.
 
-Everything operates on plain ``complex128`` numpy arrays. The attack and the
-rates use projectors, the isometry predicate and Hermitian eigenvalues (LAPACK
-through ``np.linalg.eigvalsh``), all of which also take stacks, one matrix per
-attack of a batch. ``tensor`` and ``partial_trace`` have no caller in the
+Everything operates on plain ``complex128`` numpy arrays, except that the
+isometry predicate keeps a real array real. The attack and the rates use
+projectors, the isometry predicate and Hermitian eigenvalues (LAPACK through
+``np.linalg.eigvalsh``), all of which also take stacks, one matrix per attack
+of a batch. ``tensor`` and ``partial_trace`` have no caller in the
 package; they stay while the benchmark's per-layer metrics name them.
 
 Index convention for composite spaces: the left tensor factor varies
@@ -27,11 +28,14 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 
 
-def _as_complex(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _as_complex(m) -> np.ndarray:
+    return _finite(np.asarray(m, dtype=complex))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -64,8 +68,8 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def is_isometry(v, tol: float) -> bool:
-    """True iff V^dag V = I within ||.||_F <= tol, for one matrix or every one of a stack."""
-    a = _as_complex(v)
+    """True iff V^dag V = I within ||.||_F <= tol, for one matrix or every one of a stack, real or complex."""
+    a = _finite(np.asarray(v))
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         return False
     gram = a.conj().swapaxes(-1, -2) @ a

@@ -162,6 +162,12 @@ class TestBuildIsometry:
     def test_isometry_property(self, params):
         assert is_isometry(attack_isometry(params), 1e-12)
 
+    def test_real_entries_cast_to_complex(self):
+        """The family is real: V is built and checked as float64, then returned as complex128."""
+        v = attack_isometry(AttackParams.bb84(np.linspace(0.0, 3.0, 7), 0.4))
+        assert v.dtype == np.complex128 and v.flags.c_contiguous
+        assert v.imag.tobytes() == np.zeros(v.shape).tobytes()  # +0.0 everywhere, no -0.0
+
     @pytest.mark.parametrize(
         "protocol, x, y",
         [

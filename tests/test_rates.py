@@ -12,6 +12,7 @@ from symqkd.attack import (
     branch_states,
     eve_average,
     eve_state,
+    qber_bb84,
 )
 from symqkd.rates import (
     CURVE_COLUMNS,
@@ -154,6 +155,18 @@ class TestDwRateNumeric:
                 chis.append(holevo_information(eve_average(v, basis), rho_u, rho_f))
             assert max(chis) - min(chis) <= 1e-9
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_eve_states_are_those_of_eve_state_bit_for_bit(self, protocol):
+        """The two Z-basis states come from one stacked einsum; chi and S(rho_avg) keep their bits."""
+        xs = np.linspace(0.0, math.pi, 97)[:-1]
+        for params in [AttackParams(protocol, xs), AttackParams(protocol, 1.1)]:
+            v = params.isometry
+            rho_u, rho_flip = eve_state(v, "0"), eve_state(v, "1")
+            chi, s_avg = rates._holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
+            point = dw_rate_numeric(params)
+            assert np.asarray(point["chi_AE"]).tobytes() == chi.tobytes()
+            assert np.asarray(point["identity_residual"]).tobytes() == np.abs(point["R_DW"] - (1.0 - s_avg)).tobytes()
+
 
 class TestBranchEigenvalue:
     def test_values(self):
@@ -274,6 +287,31 @@ class TestGeneralRate:
         assert batch.shape == ys.shape
         assert (batch == np.array([general_rate_bb84(0.7, y) for y in ys])).all()
 
+    @staticmethod
+    def composed_rate(x, y):
+        """The rate as qber_bb84, branch_eigenvalue and binary_entropy compose it, each from its own angles."""
+        d = qber_bb84(x, y)
+        h_d, h_x, h_y = binary_entropy(np.stack(np.broadcast_arrays(d, branch_eigenvalue(x), branch_eigenvalue(y))))
+        return 1.0 - h_d - (1.0 - d) * h_x - d * h_y
+
+    def test_equals_the_composition_bit_for_bit_over_the_whole_domain(self):
+        # A 61x61 grid over [0, pi]^2 and a row at y one ulp below pi; both
+        # forms reject x = 0 there, where 2 - cos x + cos y vanishes.
+        g = np.linspace(0.0, math.pi, 61)
+        below_pi = np.nextafter(math.pi, 0.0)
+        x, y = (np.concatenate([a.ravel(), b]) for a, b in zip(np.meshgrid(g, g), (g, np.full(61, below_pi))))
+        corner = (x == 0.0) & (y >= below_pi)
+        assert corner.sum() == 2
+        x, y = x[~corner], y[~corner]
+        assert general_rate_bb84(x, y).tobytes() == self.composed_rate(x, y).tobytes()
+        for xk, yk in zip(x[::37], y[::37]):
+            assert general_rate_bb84(float(xk), float(yk)) == self.composed_rate(float(xk), float(yk))
+        for x0 in (0.0, 0.7, math.pi):  # a scalar x broadcast against an array y
+            assert general_rate_bb84(x0, g[:-1]).tobytes() == self.composed_rate(x0, g[:-1]).tobytes()
+        for form in (general_rate_bb84, self.composed_rate):
+            with pytest.raises(ValueError, match="degenerate"):
+                form(0.0, below_pi)
+
 
 class TestBatches:
     def test_batch_point_compares_and_hashes_by_identity(self):
@@ -392,9 +430,19 @@ class TestMinimizeFamilyRate:
 
     @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=70), st.floats(1e-6, 0.5, exclude_max=True))
     def test_constrained_y_rows_equal_scalar_calls_bit_for_bit(self, xs, d):
-        y, feasible = _constrained_y(np.array(xs), d)
+        y, feasible = _constrained_y(np.cos(np.array(xs)), d)
         for k, x in enumerate(xs):
-            assert (y[k], feasible[k]) == _constrained_y(x, d)
+            assert (y[k], feasible[k]) == _constrained_y(np.cos(x), d)
+
+    @pytest.mark.parametrize("d", [1e-15, 1e-9, 0.01, 0.11, 0.25, 0.4999])
+    def test_search_rows_equal_the_masked_general_rate(self, d):
+        """The search's f is general_rate_bb84 at the solved y where one exists, +inf elsewhere."""
+        x_hi = math.acos(max(-1.0, (1.0 - 3.0 * d) / (1.0 - d)))
+        x = np.concatenate([np.linspace(0.0, 1.2 * x_hi, 400), np.linspace(0.0, math.pi, 401)])
+        y, feasible = _constrained_y(np.cos(x), d)
+        assert feasible.any() and not feasible.all()
+        expected = np.where(feasible, general_rate_bb84(x, np.where(feasible, y, 0.0)), math.inf)
+        assert rates._fixed_qber_rate(x, d).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("grid", [100, 2000, 5001])
     @pytest.mark.parametrize("d", [0.01, 0.05, 0.11, 0.123, 0.25, 0.3, 0.45, 0.4999])
@@ -410,10 +458,13 @@ class TestMinimizeFamilyRate:
 
     def test_golden_section_evaluates_its_points_in_batches(self, monkeypatch):
         """One scan, a handful of lookahead batches and the final point; 47 calls with one per point."""
-        calls = []
-        monkeypatch.setattr(rates, "general_rate_bb84", lambda x, y: calls.append(x) or general_rate_bb84(x, y))
+        sizes, kernel = [], rates._rate_from_cosines
+        monkeypatch.setattr(rates, "_rate_from_cosines", lambda cx, cy: sizes.append(np.size(cx)) or kernel(cx, cy))
         minimize_family_rate(0.11, 2000)
-        assert len(calls) <= 12
+        scan, *batches, final = sizes
+        assert (scan, final) == (2000, 1)
+        assert batches and set(batches) == {2 ** (rates._LOOKAHEAD + 1)}
+        assert len(sizes) <= 12
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,12 @@ class TestIsIsometry:
         q = random_unitary(rng, 8)[:, :2]
         assert is_isometry(q, 1e-12)
 
+    def test_real_matrix_checked_as_is(self):
+        assert is_isometry(np.eye(3)[:, :2], 1e-12)
+        assert not is_isometry(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), 1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            is_isometry(np.array([[1.0, 0.0], [0.0, np.nan]]), 1e-12)
+
     def test_wide_matrix_never_isometry(self):
         assert not is_isometry(np.ones((2, 4)), 1e-6)
 
