@@ -91,9 +91,9 @@ class AttackParams:
     x controls the undisturbed-branch overlap, y the flipped-branch one.
     Scalar angles give one attack with float fields; arrays (broadcast
     together) give one attack per element, and every check covers all of
-    them. Angles are reduced to [0, pi]; y defaults per protocol. ``qber`` is
-    computed once, on construction, from the reduced angles; ``isometry``
-    is built on first use and kept. Domains:
+    them. ``protocol`` is a ``Protocol`` or its name. Angles are reduced to
+    [0, pi]; y defaults per protocol. ``qber`` is computed once, from the
+    reduced angles; ``isometry`` is built on first use and kept. Domains:
 
     - BB84: x, y in [0, pi] with QBER in [0, 1); y defaults to x, the
       rate-minimizing diagonal. The edge y = pi (QBER 1) and the
@@ -105,12 +105,13 @@ class AttackParams:
     Batches are compared and hashed by identity, not by value.
     """
 
-    protocol: Protocol
+    protocol: Protocol | str
     x: float | np.ndarray
     y: float | np.ndarray | None = None
     qber: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "protocol", Protocol(self.protocol))
         y = self.y
         if y is None:
             y = self.x if self.protocol is Protocol.BB84 else math.pi / 2

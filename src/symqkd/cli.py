@@ -1,10 +1,12 @@
 """Command-line front-end: verify | curve | threshold | minimize | simulate.
 
 The front-end parses arguments, formats what the library computes and maps
-the outcome to an exit code; it computes no physics of its own. Results go
-to stdout or --out; diagnostics go to stderr, gated by the QKD_LOG
-environment variable (error|info|debug). Exit codes: 0 success, 1 I/O
-failure, 2 invalid arguments, domain or size, 3 internal verification failure.
+the outcome to an exit code; it computes no physics of its own. Each
+command builds its result as one text (``name value`` lines from ``_table``,
+CSV or JSON) and writes it once, through ``_emit``, to stdout or --out.
+Diagnostics go to stderr, gated by the QKD_LOG environment variable
+(error|info|debug). Exit codes: 0 success, 1 I/O failure, 2 invalid
+arguments, domain or size, 3 internal verification failure.
 
 The argument parser is built on the first main() call and reused by every
 later main() call in the process.
@@ -54,7 +56,12 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _table(rows, width: int) -> str:
+    """A ``name value`` line per row, names padded to ``width``; a str value as is, a number as _fmt has it."""
+    return "".join(f"{name:<{width}}{value if isinstance(value, str) else _fmt(value)}\n" for name, value in rows)
+
+
+def _emit(text: str, out: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -63,15 +70,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
+    params = attack.AttackParams(args.protocol, args.x, args.y)
     residuals = {f"{b}:{c}": r for (b, c), r in attack.verify_symmetry(params).items()}
     residuals["rate_identity"] = rates.dw_rate_numeric(params)["identity_residual"]
-
-    width = max(len(k) for k in residuals)
-    for name, value in residuals.items():
-        print(f"{name:<{width}}  {_fmt(value)}")
-    worst = max(residuals.values())
-    print(f"{'max_residual':<{width}}  {_fmt(worst)}")
+    residuals["max_residual"] = worst = max(residuals.values())
+    _emit(_table(residuals.items(), max(map(len, residuals)) + 2))
     if worst > VERIFY_TOL:
         log.error("verification failed: max residual %s", _fmt(worst))
         return EXIT_INTERNAL
@@ -86,7 +89,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     the cell itself (plus '.0' if it has no '.'), re-formed only if it has
     an exponent. Every cell is finite: the library rejects non-finite values.
     """
-    table = rates.rate_curve(Protocol(args.protocol), args.grid)
+    table = rates.rate_curve(args.protocol, args.grid)
     n = len(table)
     log.info("curve: %d points, max |numeric - closed| = %s", n, _fmt(table[:, -1].max()))
     body = "\n".join([_CSV_ROW] * n) % tuple(table.ravel().tolist())
@@ -100,25 +103,21 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    protocol = Protocol(args.protocol)
-    t = rates.find_threshold(protocol)
+    t = rates.find_threshold(args.protocol)
     log.info("bisection converged in %d iterations", t.iterations)
-    print(f"protocol:   {protocol.value}")
-    print(f"D_star:     {t.D_star:.6f}")
-    print(f"residual:   {_fmt(t.residual)}")
-    print(f"iterations: {t.iterations}")
+    record = dict(protocol=args.protocol, D_star=f"{t.D_star:.6f}", residual=t.residual, iterations=t.iterations)
+    _emit(_table(((name + ":", value) for name, value in record.items()), 12))
     return EXIT_OK
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     record = {"D_target": args.d_target, **rates.minimize_family_rate(args.d_target, args.grid)}
-    for name, value in record.items():
-        print(f"{name + ':':<10}{_fmt(value)}")
+    _emit(_table(((name + ":", value) for name, value in record.items()), 10))
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = attack.AttackParams(Protocol(args.protocol), args.x, args.y)
+    params = attack.AttackParams(args.protocol, args.x, args.y)
     cfg = protosim.SimConfig(params=params, rounds=args.rounds, seed=args.seed)
     record = protosim.run_simulation(cfg)
     log.info(

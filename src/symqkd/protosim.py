@@ -65,6 +65,7 @@ BLOCK_ROUNDS = 2**14
 class SimConfig:
     """One reproducible protocol run; the protocol is the attack's.
 
+    ``rounds`` and ``seed`` must be integers, and a bool is refused.
     ``rounds`` runs from 1 to 2**63 - 1, the range of the int64 counts.
     """
 
@@ -77,7 +78,7 @@ class SimConfig:
             raise ValueError("a simulation runs one attack, not a batch")
         for name in ("rounds", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers too, so the record is JSON-ready
         if not 1 <= self.rounds < 2**63:

@@ -68,7 +68,9 @@ def _xlog2x(p):
 
 
 def _check_grid(grid: int, least: int) -> None:
-    """Reject a grid below ``least`` or above ``_MAX_GRID``, before anything is allocated."""
+    """Reject a grid that is no integer, below ``least`` or above ``_MAX_GRID``, before anything is allocated."""
+    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool):
+        raise ValueError(f"grid must be an integer, not {grid!r}")
     if grid < least:
         raise ValueError(f"grid must be at least {least}")
     if grid > _MAX_GRID:
@@ -195,17 +197,17 @@ def _rate_from_cosines(cx, cy):
     return 1.0 - h_d - (1.0 - d) * h_x - d * h_y
 
 
-def rate_curve(protocol: Protocol, grid: int) -> np.ndarray:
+def rate_curve(protocol: Protocol | str, grid: int) -> np.ndarray:
     """Numeric and closed-form rates at ``grid`` evenly spaced attack angles x.
 
     x sweeps the QBER range of each protocol: D(x, x) in [0, 1/2] for
     BB84 (x up to pi/2, on the diagonal y = x), D(x) in [0, 2/3] for
     six-state (x up to pi). Returns a (grid, 8) table, one row per attack,
     with the columns ``CURVE_COLUMNS``; ``abs_diff`` is |numeric - closed|.
-    ``grid`` runs from 2 to ``_MAX_GRID`` (2**40).
+    ``protocol`` is a member or its name, ``grid`` an integer in [2, 2**40].
     """
     _check_grid(grid, 2)
-    bb84 = protocol is Protocol.BB84
+    bb84 = Protocol(protocol) is Protocol.BB84
     params = AttackParams(protocol, np.linspace(0.0, math.pi / 2 if bb84 else math.pi, grid))
     closed = general_rate_bb84(params.x, params.y) if bb84 else closed_rate_six_state(params.qber)
     dw = dw_rate_numeric(params)
@@ -226,14 +228,14 @@ class Threshold:
     iterations: int
 
 
-def find_threshold(protocol: Protocol) -> Threshold:
-    """Bisect the protocol's closed-form rate to its security threshold.
+def find_threshold(protocol: Protocol | str) -> Threshold:
+    """Bisect the closed-form rate of a protocol, the member or its name, to its security threshold.
 
     Brackets [1e-6, 0.49] (BB84) or [1e-6, 0.6] (six-state); stops when
     |rate| <= 1e-10. A missing sign change means the rate function is
     broken, so that raises rather than returning.
     """
-    if protocol is Protocol.BB84:
+    if Protocol(protocol) is Protocol.BB84:
         fn, hi = closed_rate_bb84, 0.49
     else:
         fn, hi = closed_rate_six_state, 0.6

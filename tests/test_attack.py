@@ -16,6 +16,7 @@ from symqkd.attack import (
     qber_bb84,
     verify_symmetry,
 )
+from symqkd.rates import holevo_information
 from symqkd.smallmat import hermitian_eigenvalues, is_isometry, projector
 from symqkd.states import LABELS, SIGNAL_STATES, Protocol, basis_labels, state_vector
 
@@ -113,6 +114,22 @@ class TestAttackParams:
     def test_fidelity_complements_qber_exactly(self):
         p = AttackParams.bb84(0.9, 1.2)
         assert p.fidelity + p.qber == 1.0
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("x", [0.7, np.linspace(0.0, 3.0, 7)], ids=["one", "batch"])
+    def test_protocol_name_builds_the_member_attack_bit_for_bit(self, protocol, x):
+        by_name, by_member = AttackParams(protocol.value, x), AttackParams(protocol, x)
+        assert by_name.protocol is protocol
+        for name in ("x", "y", "qber", "isometry"):
+            assert np.asarray(getattr(by_name, name)).tobytes() == np.asarray(getattr(by_member, name)).tobytes()
+        named, member = verify_symmetry(by_name), verify_symmetry(by_member)
+        assert list(named) == list(member)
+        assert all(np.asarray(named[k]).tobytes() == np.asarray(member[k]).tobytes() for k in member)
+
+    @pytest.mark.parametrize("protocol", ["BB84", "six_state", "", None, 1])
+    def test_any_other_protocol_value_raises(self, protocol):
+        with pytest.raises(ValueError, match="is not a valid Protocol"):
+            AttackParams(protocol, 0.7)
 
     def test_qber_stored_from_the_reduced_angles(self):
         batch = AttackParams.bb84([-0.7, 0.4], [2 * math.pi + 1.1, 0.4])
@@ -435,3 +452,28 @@ class TestWholeDomain:
         assert on_line.sum() == 240
         assert worst[on_line].max() <= 1e-12
         assert worst[off_line].min() > 1e-5
+
+    @staticmethod
+    def chi(v, basis):
+        """Eve's Holevo information on a key sifted in ``basis``, one value per attack of the stack v."""
+        u0, u1 = basis_labels(basis)
+        return holevo_information(eve_average(v, basis), eve_state(v, u0), eve_state(v, u1))
+
+    def test_bb84_chi_same_in_both_bases_everywhere(self, bb84_grid):
+        v = bb84_grid.isometry
+        chi_z = self.chi(v, "Z")
+        assert np.abs(self.chi(v, "X") - chi_z).max() <= 1e-12
+        # Y is no BB84 basis: off the six-state line Eve's information there
+        # differs by up to a whole bit, reached at the corner (pi, 0).
+        gap_y = np.abs(self.chi(v, "Y") - chi_z)
+        x, y = bb84_grid.x, bb84_grid.y
+        assert gap_y[(np.abs(y - math.pi / 2) <= 1e-12) | (x == 0.0)].max() <= 1e-12
+        worst = np.argmax(gap_y)
+        assert abs(gap_y[worst] - 1.0) <= 1e-12
+        assert (x[worst], y[worst]) == (math.pi, 0.0)
+
+    def test_six_state_chi_same_in_all_three_bases_everywhere(self):
+        v = AttackParams.six_state(self.GRID).isometry
+        chi_z = self.chi(v, "Z")
+        for basis in "XY":
+            assert np.abs(self.chi(v, basis) - chi_z).max() <= 1e-12

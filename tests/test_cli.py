@@ -405,6 +405,39 @@ class TestSimulate:
         assert capsys.readouterr().out == self.RECORD % fields
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--protocol", "bb84", "--x", "0.7", "--y", "1.1"],
+        ["verify", "--protocol", "six-state", "--x", "0.7"],
+        ["threshold", "--protocol", "bb84"],
+        ["minimize", "--d-target", "0.05", "--grid", "100"],
+        ["curve", "--protocol", "bb84", "--grid", "5"],
+        ["curve", "--protocol", "six-state", "--grid", "5", "--format", "json"],
+        ["simulate", "--protocol", "six-state", "--x", "0.5", "--rounds", "1000", "--seed", "3"],
+    ],
+    ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:3]),
+)
+def test_each_command_writes_its_result_in_one_write(argv, monkeypatch):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().count("\n") > 1
+
+
 class TestEnvironment:
     def test_unknown_flags_exit_two(self):
         assert run_cli("threshold", "--protocol", "b92").returncode == 2

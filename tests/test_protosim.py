@@ -47,12 +47,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="batch"):
             SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
 
-    @pytest.mark.parametrize("rounds", [1.5, 10.0, "10"])
+    @pytest.mark.parametrize("rounds", [1.5, 10.0, "10", True, np.True_])
     def test_non_integer_rounds_rejected(self, rounds):
         with pytest.raises(ValueError, match="rounds must be an integer"):
             SimConfig(params=bb84_at(0.1), rounds=rounds, seed=1)
 
-    @pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", False, True])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             SimConfig(params=bb84_at(0.1), rounds=10, seed=seed)

@@ -372,6 +372,30 @@ class TestRateCurve:
         with pytest.raises(ValueError, match="grid must be at least 2"):
             rate_curve(Protocol.BB84, grid)
 
+    @pytest.mark.parametrize("grid", [200.0, 2.5, "200", True, np.float64(3)])
+    def test_grid_that_is_no_integer_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            rate_curve(Protocol.BB84, grid)
+
+    def test_numpy_integer_grid_gives_the_int_grid_bits(self):
+        assert rate_curve(Protocol.SIX_STATE, np.int64(33)).tobytes() == rate_curve(Protocol.SIX_STATE, 33).tobytes()
+
+
+class TestProtocolNames:
+    """The library takes a protocol as the enum member or its name, with the same bits either way."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_name_and_member_give_the_same_bits(self, protocol):
+        assert repr(find_threshold(protocol.value)) == repr(find_threshold(protocol))
+        assert rate_curve(protocol.value, 65).tobytes() == rate_curve(protocol, 65).tobytes()
+
+    @pytest.mark.parametrize("protocol", ["BB84", "six_state", "", None, 0, b"bb84", ("bb84",)])
+    def test_any_other_value_raises(self, protocol):
+        with pytest.raises(ValueError, match="is not a valid Protocol"):
+            find_threshold(protocol)
+        with pytest.raises(ValueError, match="is not a valid Protocol"):
+            rate_curve(protocol, 3)
+
 
 class TestThreshold:
     def test_bb84(self):
@@ -471,3 +495,8 @@ class TestMinimizeFamilyRate:
             minimize_family_rate(0.6, 400)
         with pytest.raises(ValueError):
             minimize_family_rate(0.05, 50)
+
+    @pytest.mark.parametrize("grid", [2000.0, 400.5, "2000", True])
+    def test_grid_that_is_no_integer_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            minimize_family_rate(0.05, grid)
