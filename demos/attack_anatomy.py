@@ -23,7 +23,7 @@ np.set_printoptions(precision=6, suppress=True)
 print("=" * 64)
 print("BB84 attack with x = y = pi/3  (QBER 25%)")
 print("=" * 64)
-params = AttackParams.bb84(math.pi / 3, math.pi / 3)
+params = AttackParams("bb84", math.pi / 3, math.pi / 3)
 print(f"fidelity F = {params.fidelity:.6f}, QBER D = {params.qber:.6f}")
 
 v = params.isometry
@@ -50,10 +50,10 @@ print()
 print("=" * 64)
 print("A BB84 attack with y != pi/2 fails in the Y basis")
 print("=" * 64)
-lopsided = AttackParams.bb84(0.7, 1.5)
+lopsided = AttackParams("bb84", 0.7, 1.5)
 y_residuals = verify_symmetry(lopsided, bases=("Y",))
 print(f"max Y-basis residual for S(0.7, 1.5): {max(y_residuals.values()):.3e}")
 print("-> only y = pi/2 extends the symmetry to all three bases, which is")
 print("   exactly the six-state attack family:")
-six = AttackParams.six_state(0.7)
+six = AttackParams("six-state", 0.7)
 print(f"max residual of the six-state attack over Z, X, Y: {max(verify_symmetry(six).values()):.3e}")

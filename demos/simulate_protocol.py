@@ -14,7 +14,7 @@ from symqkd.protosim import SimConfig, run_simulation
 ROUNDS = 1_000_000
 
 # BB84 under the diagonal attack at D = 0.1.
-cfg = SimConfig(params=AttackParams.bb84(math.acos(0.8)), rounds=ROUNDS, seed=42)
+cfg = SimConfig(params=AttackParams("bb84", math.acos(0.8)), rounds=ROUNDS, seed=42)
 result = run_simulation(cfg)
 print("BB84, analytic QBER 0.1:")
 print(json.dumps(result, indent=2))
@@ -22,7 +22,7 @@ pull = (result["qber_hat"] - result["D_analytic"]) / result["qber_se"]
 print(f"-> estimate off by {pull:+.2f} standard errors\n")
 
 # Six-state at D = 1/3 (x = pi/3); only one basis in three matches.
-cfg6 = SimConfig(params=AttackParams.six_state(math.pi / 3), rounds=ROUNDS, seed=42)
+cfg6 = SimConfig(params=AttackParams("six-state", math.pi / 3), rounds=ROUNDS, seed=42)
 result6 = run_simulation(cfg6)
 print("six-state, analytic QBER 1/3:")
 print(json.dumps(result6, indent=2))

@@ -14,7 +14,7 @@ the flipped branch (norm^2 = QBER D), and |u+1| is the within-basis
 partner state. The signal qubit is the first tensor factor; the 4-dim
 ancilla the second.
 
-Angles may be arrays: ``AttackParams.bb84(xs, ys)`` describes a batch of
+Angles may be arrays: ``AttackParams("bb84", xs, ys)`` describes a batch of
 attacks, its isometry is an (..., 8, 2) stack and every reduced state an
 (..., n, n) stack. Scalar angles are the same code on zero-dimensional
 arrays, so one path serves a single attack and a whole curve.
@@ -131,14 +131,6 @@ class AttackParams:
         if (np.cos(y) == -1.0).any():
             raise ValueError("attack angle y = pi gives QBER 1, outside [0, 1)")
 
-    @classmethod
-    def bb84(cls, x, y=None) -> "AttackParams":
-        return cls(Protocol.BB84, x, y)
-
-    @classmethod
-    def six_state(cls, x) -> "AttackParams":
-        return cls(Protocol.SIX_STATE, x)
-
     @property
     def fidelity(self):
         return 1.0 - self.qber
@@ -170,19 +162,17 @@ def attack_isometry(params: AttackParams) -> np.ndarray:
     q[..., 3, 1], q[..., 3, 2] = sd * np.cos(params.y), sd * np.sin(params.y)
     g = q @ q.swapaxes(-1, -2)  # g[..., i, j] = <q_i|q_j>
     nf, nd = g[..., 0, 0], g[..., 1, 1]
-    residual = np.max(
-        np.abs(
-            [
-                g[..., 2, 2] - nf,
-                g[..., 3, 3] - nd,
-                nf + nd - 1.0,
-                g[..., 0, 1],
-                g[..., 2, 3],
-                g[..., 0, 3],
-                g[..., 2, 1],
-            ]
-        )
-    )
+    residual = np.abs(
+        [
+            g[..., 2, 2] - nf,
+            g[..., 3, 3] - nd,
+            nf + nd - 1.0,
+            g[..., 0, 1],
+            g[..., 2, 3],
+            g[..., 0, 3],
+            g[..., 2, 1],
+        ]
+    ).max(initial=0.0)  # 0.0 for an empty batch
     if residual > _QUAD_TOL:
         raise ValueError(f"ancilla quad violates symmetry constraints (max residual {residual:.3e})")
     # V|0> = |0>|F0> + |1>|D0> and V|1> = |0>|D1> + |1>|F1>: pick the quad
@@ -219,22 +209,25 @@ def induced_ancillas(v: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray,
     return f[..., 0, :], d[..., 0, :], f[..., 1, :], d[..., 1, :]
 
 
+def _reduced(psi: np.ndarray, keep: str) -> np.ndarray:
+    """State of each output psi[..., signal, ancilla] on one factor: "A" keeps Bob's signal, "B" Eve's ancilla."""
+    return np.einsum("...ak,...bk->...ab" if keep == "A" else "...ka,...kb->...ab", psi, psi.conj())
+
+
 def bob_state(v: np.ndarray, u: str) -> np.ndarray:
     """Bob's 2x2 reduced state for input label u (ancilla traced out)."""
-    psi = _output(v, state_vector(u))
-    return np.einsum("...ak,...bk->...ab", psi, psi.conj())
+    return _reduced(_output(v, state_vector(u)), "A")
 
 
 def eve_state(v: np.ndarray, u: str) -> np.ndarray:
-    """Eve's 4x4 reduced state for input label u (signal traced out)."""
-    psi = _output(v, state_vector(u))
-    return np.einsum("...ka,...kb->...ab", psi, psi.conj())
+    """Eve's 4x4 reduced state for input label u; a label string stacks the one-label states on axis -3, bit for bit."""
+    kets = np.array([state_vector(label) for label in u]) if len(u) > 1 else state_vector(u)
+    return _reduced(_output(v, kets), "B")
 
 
 def eve_average(v: np.ndarray, basis: str) -> np.ndarray:
     """Eve's state averaged over the basis pair sent with equal probability."""
-    u0, u1 = basis_labels(basis)
-    return 0.5 * (eve_state(v, u0) + eve_state(v, u1))
+    return 0.5 * eve_state(v, "".join(basis_labels(basis))).sum(axis=-3)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,7 +247,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     np.linalg.norm(m, axis=(-2, -1)) sums in another order and differs in
     the last bit for about one generic matrix in five.
     """
-    flat = m.reshape(m.shape[:-2] + (-1,))
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))  # -1 is ambiguous for an empty batch
     return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
 
 
@@ -303,14 +296,13 @@ def verify_symmetry(params: AttackParams, bases: tuple[str, ...] | None = None) 
     kets, partners, psi, fa, da = _label_outputs(params.isometry, bases)
     f, d = np.asarray(params.fidelity)[..., None], np.asarray(params.qber)[..., None]  # per label
     target_b = f[..., None, None] * projector(kets) + d[..., None, None] * projector(partners)
-    eve = np.einsum("...ka,...kb->...ab", psi, psi.conj())
     per_label = {
         "F_norm": abs(_dot(fa, fa).real - f),
         "D_norm": abs(_dot(da, da).real - d),
         "FD_ortho": abs(_dot(fa, da)),
         "FD_cross": abs(_dot(fa, da[..., np.arange(len(kets)) ^ 1, :])),
-        "channel_contraction": _frobenius(np.einsum("...ak,...bk->...ab", psi, psi.conj()) - target_b),
-        "complementary_output": _frobenius(eve - (projector(fa) + projector(da))),
+        "channel_contraction": _frobenius(_reduced(psi, "A") - target_b),
+        "complementary_output": _frobenius(_reduced(psi, "B") - (projector(fa) + projector(da))),
     }
     rows = {c: np.maximum(r[..., 0::2], r[..., 1::2]) for c, r in per_label.items()}  # each basis's worse state
     rows["FF_overlap"] = abs(_dot(fa[..., 0::2, :], fa[..., 1::2, :]) - f * np.cos(params.x)[..., None])

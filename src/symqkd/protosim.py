@@ -61,6 +61,13 @@ ESTIMATION_FRACTION = 0.1
 BLOCK_ROUNDS = 2**14
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; anything but an int or a numpy integer, a bool included, raises ValueError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible protocol run; the protocol is the attack's.
@@ -76,11 +83,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if np.ndim(self.params.x) != 0:
             raise ValueError("a simulation runs one attack, not a batch")
-        for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers too, so the record is JSON-ready
+        for name in ("rounds", "seed"):  # numpy integers become ints too, so the record is JSON-ready
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.rounds < 2**63:
             raise ValueError(f"rounds must be between 1 and 2**63 - 1, not {self.rounds}")
         if not 0 <= self.seed < 2**64:
@@ -140,9 +144,13 @@ class _Stream:
 def simulate_rounds(cfg: SimConfig, start: int, count: int, stream: _Stream | None = None) -> RoundBatch:
     """Simulate rounds [start, start+count) of the configured run, identical for any blocking.
 
+    A block outside the run (integers 0 <= start, 0 <= count, start + count <= rounds) raises ValueError.
     ``stream`` is a worker's generator and buffer, reused from block to
     block; without it this block draws from a fresh pair of its own.
     """
+    start, count = _integer("start", start), _integer("count", count)
+    if start < 0 or count < 0 or start + count > cfg.rounds:
+        raise ValueError(f"start {start} and count {count} must be >= 0 with start + count <= rounds = {cfg.rounds}")
     if stream is None:
         stream = _Stream(cfg.seed, count)
     return _masks(stream.draw(start, count), len(cfg.params.protocol.bases), cfg.params.qber)

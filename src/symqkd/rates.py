@@ -1,11 +1,11 @@
 """Entropies, Holevo information, and Devetak-Winter secret-key rates.
 
 Two independent routes to the same numbers live here. The numeric route
-runs the full pipeline (attack isometry, partial traces, eigenvalues,
-entropies, Holevo information) and assembles R = I_AB - chi_AE. The closed
-route evaluates the known key-rate formulas of the two protocols directly
-as functions of the QBER. Their agreement over the whole attack family is
-the main correctness check of the package.
+runs the full pipeline (attack isometry, Eve's states from ``attack.eve_state``,
+eigenvalues, entropies, Holevo information) and assembles R = I_AB - chi_AE.
+The closed route evaluates the known key-rate formulas of the two protocols
+directly as functions of the QBER. Their agreement over the whole attack
+family is the main correctness check of the package.
 
 Both routes take arrays as well as scalars: a batch of attacks runs as
 one stack through the same code that evaluates a single attack, and every
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, _output, _qber_from_cosines
+from .attack import AttackParams, _qber_from_cosines, eve_state
 from .smallmat import hermitian_eigenvalues
-from .states import SIGNAL_STATES, Protocol
+from .states import Protocol
 
 __all__ = [
     "CURVE_COLUMNS",
@@ -129,8 +129,7 @@ def dw_rate_numeric(params: AttackParams) -> dict:
     (one attack) or arrays (a batch) keyed I_AB, chi_AE, R_DW and
     identity_residual = |R_DW - (1 - S(rho_E))|.
     """
-    psi = _output(params.isometry, SIGNAL_STATES[:2])  # V|0> and V|1>, stacked on one axis
-    rho = np.einsum("...ka,...kb->...ab", psi, psi.conj())  # Eve's state for each, as eve_state forms it
+    rho = eve_state(params.isometry, "01")  # Eve's state for each Z-basis input, stacked on axis -3
     rho_u, rho_flip = rho[..., 0, :, :], rho[..., 1, :, :]
     chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
     i_ab = 1.0 - binary_entropy(params.qber)

@@ -44,7 +44,7 @@ GRID_X = np.linspace(0.0, math.pi, 202)[1:-1]  # 200 interior points
 def test_criterion_1_bb84_closed_form_theorem():
     worst = 0.0
     for x in GRID_X:
-        params = AttackParams.bb84(float(x), float(x))
+        params = AttackParams("bb84", float(x), float(x))
         numeric = dw_rate_numeric(params)["R_DW"]
         closed = 1.0 - 2.0 * binary_entropy(params.qber)
         worst = max(worst, abs(numeric - closed))
@@ -54,7 +54,7 @@ def test_criterion_1_bb84_closed_form_theorem():
 def test_criterion_2_six_state_closed_form_theorem():
     worst = 0.0
     for x in GRID_X:
-        params = AttackParams.six_state(float(x))
+        params = AttackParams("six-state", float(x))
         worst = max(worst, abs(dw_rate_numeric(params)["R_DW"] - closed_rate_six_state(params.qber)))
     worst_eq = max(
         abs(closed_rate_six_state(float(d)) - closed_rate_six_state_alt(float(d)))
@@ -85,8 +85,8 @@ def test_criterion_4_symmetry_condition_suite():
     worst = 0.0
     for _ in range(50):
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)
-        worst = max(worst, *verify_symmetry(AttackParams.bb84(float(x), float(y))).values())
-        worst = max(worst, *verify_symmetry(AttackParams.six_state(float(x))).values())
+        worst = max(worst, *verify_symmetry(AttackParams("bb84", float(x), float(y))).values())
+        worst = max(worst, *verify_symmetry(AttackParams("six-state", float(x))).values())
     # A BB84 attack is six-state symmetric only on the line y = pi/2 (and at
     # x = 0); off it, its per-state conditions visibly fail in the Y basis.
     violations = []
@@ -94,7 +94,7 @@ def test_criterion_4_symmetry_condition_suite():
         x, y = rng.uniform(0.05, math.pi - 0.05, size=2)
         if abs(x - y) < 0.1:
             continue
-        residuals = verify_symmetry(AttackParams.bb84(float(x), float(y)), bases=("Y",))
+        residuals = verify_symmetry(AttackParams("bb84", float(x), float(y)), bases=("Y",))
         violations.append(max(r for (_, c), r in residuals.items() if c in BASE_CONDITIONS))
     ok = worst <= 1e-12 and max(violations) > 1e-3
     report(
@@ -107,8 +107,8 @@ def test_criterion_4_symmetry_condition_suite():
 
 def test_criterion_5_structural_invariants():
     rng = np.random.default_rng(513)
-    draws = [AttackParams.bb84(*map(float, rng.uniform(0.1, math.pi - 0.1, size=2))) for _ in range(10)]
-    draws += [AttackParams.six_state(float(x)) for x in rng.uniform(0.1, math.pi - 0.1, size=10)]
+    draws = [AttackParams("bb84", *map(float, rng.uniform(0.1, math.pi - 0.1, size=2))) for _ in range(10)]
+    draws += [AttackParams("six-state", float(x)) for x in rng.uniform(0.1, math.pi - 0.1, size=10)]
     ok = True
     notes = []
     for params in draws:
@@ -150,11 +150,11 @@ def test_criterion_6_family_minimization():
 
 def test_criterion_7_monte_carlo():
     d_bb = 0.1
-    cfg_bb = SimConfig(params=AttackParams.bb84(math.acos(1 - 2 * d_bb)), rounds=1_000_000, seed=424242)
+    cfg_bb = SimConfig(params=AttackParams("bb84", math.acos(1 - 2 * d_bb)), rounds=1_000_000, seed=424242)
     res_bb = run_simulation(cfg_bb)
     d_six = 1.0 / 3.0
     cfg_six = SimConfig(
-        params=AttackParams.six_state(math.acos((1 - 2 * d_six) / (1 - d_six))),
+        params=AttackParams("six-state", math.acos((1 - 2 * d_six) / (1 - d_six))),
         rounds=1_000_000,
         seed=90210,
     )

@@ -34,7 +34,7 @@ def max_residual(residuals):
 
 def random_bb84_draws(n, seed=1148):
     rng = np.random.default_rng(seed)
-    return [AttackParams.bb84(*rng.uniform(0.1, math.pi - 0.1, size=2)) for _ in range(n)]
+    return [AttackParams("bb84", *rng.uniform(0.1, math.pi - 0.1, size=2)) for _ in range(n)]
 
 
 def edge_batches():
@@ -46,7 +46,7 @@ def edge_batches():
     xs = np.concatenate([rng.uniform(0, math.pi, 40), edges, [0.0, 0.7]])
     ys = np.concatenate([rng.uniform(0, math.pi, 40), edges[::-1], [0.0, 1.5]])
     keep = np.abs(2 - np.cos(xs) + np.cos(ys)) > 1e-3
-    return [AttackParams.bb84(xs[keep], ys[keep]), AttackParams.six_state(xs)]
+    return [AttackParams("bb84", xs[keep], ys[keep]), AttackParams("six-state", xs)]
 
 
 class TestQber:
@@ -57,16 +57,16 @@ class TestQber:
     def test_exact_substitutions(self):
         assert abs(qber_bb84(math.pi / 3, math.pi / 3) - 0.25) <= 1e-15
         assert abs(qber_bb84(math.pi / 2, math.pi / 2) - 0.5) <= 1e-15
-        assert AttackParams.six_state(0.0).qber == 0.0
-        assert abs(AttackParams.six_state(math.pi / 3).qber - 1 / 3) <= 1e-15
-        assert abs(AttackParams.six_state(math.pi / 2).qber - 0.5) <= 1e-15
+        assert AttackParams("six-state", 0.0).qber == 0.0
+        assert abs(AttackParams("six-state", math.pi / 3).qber - 1 / 3) <= 1e-15
+        assert abs(AttackParams("six-state", math.pi / 2).qber - 0.5) <= 1e-15
 
     def test_six_state_is_the_one_angle_formula_bit_for_bit(self):
         # cos(pi/2) is below half an ulp of 2 - cos x, so the BB84 formula at
         # y = pi/2 rounds to (1 - cos x)/(2 - cos x) exactly.
         xs = np.linspace(0.0, math.pi, 200_001)
         cx = np.cos(xs)
-        assert np.array_equal(AttackParams.six_state(xs).qber, (1.0 - cx) / (2.0 - cx))
+        assert np.array_equal(AttackParams("six-state", xs).qber, (1.0 - cx) / (2.0 - cx))
 
     def test_degenerate_denominator_guarded(self):
         with pytest.raises(ValueError):
@@ -75,16 +75,16 @@ class TestQber:
 
 class TestAttackParams:
     def test_angles_reduced_by_cosine_parity(self):
-        p = AttackParams.bb84(-0.7, 2 * math.pi + 1.1)
+        p = AttackParams("bb84", -0.7, 2 * math.pi + 1.1)
         assert abs(p.x - 0.7) <= 1e-12
         assert abs(p.y - 1.1) <= 1e-12
 
     def test_canonical_angles_untouched(self):
-        p = AttackParams.bb84(0.7, 1.1)
+        p = AttackParams("bb84", 0.7, 1.1)
         assert p.x == 0.7 and p.y == 1.1
 
     def test_six_state_pins_y(self):
-        p = AttackParams.six_state(1.0)
+        p = AttackParams("six-state", 1.0)
         assert p.y == math.pi / 2
         # pi/2 as printed with 12 significant digits is snapped back to pi/2.
         assert AttackParams(Protocol.SIX_STATE, 1.0, 1.57079632679).y == math.pi / 2
@@ -100,19 +100,19 @@ class TestAttackParams:
     def test_unit_qber_rejected(self):
         # x = y = pi drives the flip weight to exactly 1.
         with pytest.raises(ValueError):
-            AttackParams.bb84(math.pi, math.pi)
+            AttackParams("bb84", math.pi, math.pi)
 
     def test_batches_compare_and_hash_by_identity(self):
-        batch = AttackParams.bb84([0.3, 0.5])
+        batch = AttackParams("bb84", [0.3, 0.5])
         assert batch == batch
         hash(batch)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            AttackParams.bb84(math.nan, 1.0)
+            AttackParams("bb84", math.nan, 1.0)
 
     def test_fidelity_complements_qber_exactly(self):
-        p = AttackParams.bb84(0.9, 1.2)
+        p = AttackParams("bb84", 0.9, 1.2)
         assert p.fidelity + p.qber == 1.0
 
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -132,10 +132,10 @@ class TestAttackParams:
             AttackParams(protocol, 0.7)
 
     def test_qber_stored_from_the_reduced_angles(self):
-        batch = AttackParams.bb84([-0.7, 0.4], [2 * math.pi + 1.1, 0.4])
+        batch = AttackParams("bb84", [-0.7, 0.4], [2 * math.pi + 1.1, 0.4])
         assert batch.qber is batch.qber  # computed once, on construction
         assert np.array_equal(batch.qber, qber_bb84(batch.x, batch.y))
-        assert AttackParams.six_state(1.0).qber == qber_bb84(1.0, math.pi / 2)
+        assert AttackParams("six-state", 1.0).qber == qber_bb84(1.0, math.pi / 2)
 
 
 def z_ancillas(params):
@@ -145,27 +145,27 @@ def z_ancillas(params):
 
 class TestAncillaStates:
     def test_noiseless_attack(self):
-        f0, d0, f1, d1 = z_ancillas(AttackParams.bb84(0.0, 0.0))
+        f0, d0, f1, d1 = z_ancillas(AttackParams("bb84", 0.0, 0.0))
         np.testing.assert_array_equal(f0, [1, 0, 0, 0])
         np.testing.assert_array_equal(f1, [1, 0, 0, 0])
         np.testing.assert_array_equal(d0, [0, 0, 0, 0])
         np.testing.assert_array_equal(d1, [0, 0, 0, 0])
 
     def test_bb84_components_at_equal_angles(self):
-        _, d0, f1, _ = z_ancillas(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        _, d0, f1, _ = z_ancillas(AttackParams("bb84", math.pi / 3, math.pi / 3))
         sf = math.sqrt(0.75)
         np.testing.assert_allclose(f1, [sf * 0.5, 0, 0, sf * math.sqrt(3) / 2], atol=1e-12)
         np.testing.assert_allclose(d0, [0, 0.5, 0, 0], atol=1e-12)
 
     def test_six_state_orthogonal_flip_ancillas(self):
-        _, d0, _, d1 = z_ancillas(AttackParams.six_state(math.pi / 3))
+        _, d0, _, d1 = z_ancillas(AttackParams("six-state", math.pi / 3))
         np.testing.assert_allclose(d1, [0, 0, 0.5773502691896258, 0], atol=1e-12)
         assert abs(np.vdot(d0, d1)) <= 1e-15
 
 
 class TestBuildIsometry:
     def test_noiseless_is_identity_channel(self):
-        v = attack_isometry(AttackParams.bb84(0.0, 0.0))
+        v = attack_isometry(AttackParams("bb84", 0.0, 0.0))
         for u in ("0", "1"):
             out = v @ state_vector(u)
             expected = np.kron(state_vector(u), [1, 0, 0, 0])
@@ -173,7 +173,7 @@ class TestBuildIsometry:
 
     @pytest.mark.parametrize(
         "params",
-        [AttackParams.bb84(0.7, 1.1), AttackParams.six_state(2 * math.pi / 3)],
+        [AttackParams("bb84", 0.7, 1.1), AttackParams("six-state", 2 * math.pi / 3)],
         ids=["bb84", "six-state"],
     )
     def test_isometry_property(self, params):
@@ -181,7 +181,7 @@ class TestBuildIsometry:
 
     def test_real_entries_cast_to_complex(self):
         """The family is real: V is built and checked as float64, then returned as complex128."""
-        v = attack_isometry(AttackParams.bb84(np.linspace(0.0, 3.0, 7), 0.4))
+        v = attack_isometry(AttackParams("bb84", np.linspace(0.0, 3.0, 7), 0.4))
         assert v.dtype == np.complex128 and v.flags.c_contiguous
         assert v.imag.tobytes() == np.zeros(v.shape).tobytes()  # +0.0 everywhere, no -0.0
 
@@ -215,29 +215,29 @@ class TestInducedAncillas:
                 assert abs(np.vdot(vec, vec).real - params.fidelity) <= 1e-12
 
     def test_six_state_y_basis_branch_orthogonality(self):
-        v = attack_isometry(AttackParams.six_state(1.234))
+        v = attack_isometry(AttackParams("six-state", 1.234))
         fu, du, _, _ = induced_ancillas(v, "Y")
         assert abs(np.vdot(fu, du)) <= 1e-12
 
 
 class TestReducedStates:
     def test_bob_noiseless(self):
-        v = attack_isometry(AttackParams.bb84(0.0, 0.0))
+        v = attack_isometry(AttackParams("bb84", 0.0, 0.0))
         np.testing.assert_allclose(bob_state(v, "0"), projector([1, 0]), atol=1e-15)
 
     def test_bob_contraction_in_x_basis(self):
-        v = attack_isometry(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        v = attack_isometry(AttackParams("bb84", math.pi / 3, math.pi / 3))
         expected = 0.75 * projector(state_vector("+")) + 0.25 * projector(state_vector("-"))
         np.testing.assert_allclose(bob_state(v, "+"), expected, atol=1e-12)
 
     def test_bob_contraction_in_y_basis_fixes_flip_convention(self):
         # rho_B(R) = F |R><R| + D |L><L| is what forces R <-> L.
-        v = attack_isometry(AttackParams.six_state(math.pi / 3))
+        v = attack_isometry(AttackParams("six-state", math.pi / 3))
         expected = (2 / 3) * projector(state_vector("R")) + (1 / 3) * projector(state_vector("L"))
         np.testing.assert_allclose(bob_state(v, "R"), expected, atol=1e-12)
 
     def test_bob_contraction_every_basis_every_label(self):
-        for params in [AttackParams.bb84(0.9, 1.4), AttackParams.six_state(0.9)]:
+        for params in [AttackParams("bb84", 0.9, 1.4), AttackParams("six-state", 0.9)]:
             v = attack_isometry(params)
             f, d = params.fidelity, params.qber
             for basis in params.protocol.bases:
@@ -247,18 +247,18 @@ class TestReducedStates:
                     assert np.linalg.norm(bob_state(v, u) - expected) <= 1e-12
 
     def test_eve_noiseless_is_pure(self):
-        v = attack_isometry(AttackParams.bb84(0.0, 0.0))
+        v = attack_isometry(AttackParams("bb84", 0.0, 0.0))
         np.testing.assert_allclose(eve_state(v, "0"), projector([1, 0, 0, 0]), atol=1e-15)
 
     def test_eve_spectrum_is_fidelity_and_qber(self):
-        params = AttackParams.bb84(1.1, 1.1)
+        params = AttackParams("bb84", 1.1, 1.1)
         v = attack_isometry(params)
         for u in ("0", "1", "+", "-"):
             lam = hermitian_eigenvalues(eve_state(v, u))
             np.testing.assert_allclose(lam, [params.fidelity, params.qber, 0, 0], atol=1e-12)
 
     def test_eve_outer_product_form(self):
-        params = AttackParams.six_state(0.77)
+        params = AttackParams("six-state", 0.77)
         v = attack_isometry(params)
         for basis in params.protocol.bases:
             u0, u1 = basis_labels(basis)
@@ -267,12 +267,12 @@ class TestReducedStates:
             assert np.linalg.norm(eve_state(v, u1) - projector(fv) - projector(dv)) <= 1e-12
 
     def test_eve_half_half_spectrum_at_right_angle(self):
-        v = attack_isometry(AttackParams.six_state(math.pi / 2))
+        v = attack_isometry(AttackParams("six-state", math.pi / 2))
         lam = hermitian_eigenvalues(eve_state(v, "0"))
         np.testing.assert_allclose(lam, [0.5, 0.5, 0, 0], atol=1e-12)
 
     def test_reduced_states_are_density_matrices(self):
-        for params in random_bb84_draws(5) + [AttackParams.six_state(1.9)]:
+        for params in random_bb84_draws(5) + [AttackParams("six-state", 1.9)]:
             v = attack_isometry(params)
             mats = [eve_average(v, "Z")]
             for basis in params.protocol.bases:
@@ -284,14 +284,38 @@ class TestReducedStates:
                 assert abs(lam.sum() - 1.0) <= 1e-12
 
 
+    @pytest.mark.parametrize("labels", ["01", "01+-", "01+-RL"])
+    def test_label_string_stacks_the_one_label_eve_states_bit_for_bit(self, labels):
+        for params in [AttackParams("bb84", 0.7, 1.9), *edge_batches()]:
+            v = params.isometry
+            stack = eve_state(v, labels)
+            assert stack.shape == np.shape(params.x) + (len(labels), 4, 4)
+            for i, u in enumerate(labels):
+                assert stack[..., i, :, :].tobytes() == eve_state(v, u).tobytes()
+
+    @pytest.mark.parametrize("labels", ["", "0Q", "0 1"])
+    def test_unknown_label_in_a_string_rejected(self, labels):
+        v = AttackParams("bb84", 0.7).isometry
+        for reduce in (bob_state, eve_state):
+            with pytest.raises(ValueError, match="unknown signal label"):
+                reduce(v, labels)
+
+
 class TestEveAverage:
+    def test_mean_of_the_one_label_states_bit_for_bit(self):
+        for params in [AttackParams("bb84", 0.7, 1.9), *edge_batches()]:
+            v = params.isometry
+            for basis in ("Z", "X", "Y"):
+                u0, u1 = basis_labels(basis)
+                assert eve_average(v, basis).tobytes() == (0.5 * (eve_state(v, u0) + eve_state(v, u1))).tobytes()
+
     def test_noiseless_pure(self):
-        v = attack_isometry(AttackParams.bb84(0.0, 0.0))
+        v = attack_isometry(AttackParams("bb84", 0.0, 0.0))
         lam = hermitian_eigenvalues(eve_average(v, "Z"))
         np.testing.assert_allclose(lam, [1, 0, 0, 0], atol=1e-14)
 
     def test_basis_independent(self):
-        for params in [AttackParams.bb84(1.0, 1.0), AttackParams.six_state(1.0)]:
+        for params in [AttackParams("bb84", 1.0, 1.0), AttackParams("six-state", 1.0)]:
             v = attack_isometry(params)
             bases = params.protocol.bases
             ref = eve_average(v, bases[0])
@@ -306,13 +330,13 @@ class TestBranchStates:
             assert abs(np.trace(rho_f @ rho_d)) <= 1e-12
 
     def test_branch_spectra_match_angle_eigenvalue(self):
-        params = AttackParams.bb84(math.pi / 3, math.pi / 3)
+        params = AttackParams("bb84", math.pi / 3, math.pi / 3)
         rho_f, rho_d = branch_states(attack_isometry(params), "Z")
         np.testing.assert_allclose(hermitian_eigenvalues(rho_f), [0.75, 0.25, 0, 0], atol=1e-10)
         np.testing.assert_allclose(hermitian_eigenvalues(rho_d), [0.75, 0.25, 0, 0], atol=1e-10)
 
     def test_zero_weight_branch_is_zero_matrix(self):
-        rho_f, rho_d = branch_states(attack_isometry(AttackParams.bb84(0.0, 0.0)), "Z")
+        rho_f, rho_d = branch_states(attack_isometry(AttackParams("bb84", 0.0, 0.0)), "Z")
         assert np.array_equal(rho_d, np.zeros((4, 4)))
         assert abs(np.trace(rho_f) - 1.0) <= 1e-12
 
@@ -325,7 +349,7 @@ class TestBranchStates:
                 assert np.array_equal(rho_f[i], one_f) and np.array_equal(rho_d[i], one_d)
 
     def test_average_state_decomposes_over_branches(self):
-        params = AttackParams.six_state(1.3)
+        params = AttackParams("six-state", 1.3)
         v = attack_isometry(params)
         rho_f, rho_d = branch_states(v, "Z")
         recomposed = params.fidelity * rho_f + params.qber * rho_d
@@ -340,16 +364,16 @@ class TestVerifySymmetry:
     def test_six_state_conditions_hold_in_all_three_bases(self):
         rng = np.random.default_rng(5150)
         for x in rng.uniform(0.1, math.pi - 0.1, size=10):
-            residuals = verify_symmetry(AttackParams.six_state(float(x)))
+            residuals = verify_symmetry(AttackParams("six-state", float(x)))
             assert set(b for b, _ in residuals) == {"Z", "X", "Y"}
             assert max_residual(residuals) <= 1e-12
 
     def test_bb84_with_unequal_angles_breaks_y_basis(self):
-        residuals = verify_symmetry(AttackParams.bb84(0.7, 1.5), bases=("Y",))
+        residuals = verify_symmetry(AttackParams("bb84", 0.7, 1.5), bases=("Y",))
         assert max(r for (_, c), r in residuals.items() if c in BASE_CONDITIONS) > 1e-3
 
     def test_every_condition_reported(self):
-        residuals = verify_symmetry(AttackParams.bb84(0.5, 0.9))
+        residuals = verify_symmetry(AttackParams("bb84", 0.5, 0.9))
         assert set(c for _, c in residuals) == set(BASE_CONDITIONS + ANGLE_CONDITIONS)
         assert max_residual(residuals) <= 1e-12
 
@@ -365,7 +389,7 @@ class TestVerifySymmetry:
     def test_single_attack_rows_keep_vdot_and_norm_arithmetic(self):
         # verify prints these round-off residuals to 12 digits, so they must
         # come out of the same sums as np.vdot and np.linalg.norm, bit for bit.
-        for params in random_bb84_draws(40) + [AttackParams.six_state(0.8)]:
+        for params in random_bb84_draws(40) + [AttackParams("six-state", 0.8)]:
             v = attack_isometry(params)
             report = verify_symmetry(params, bases=("Z", "X", "Y"))
             f, d = params.fidelity, params.qber
@@ -394,7 +418,7 @@ class TestVerifySymmetry:
     def test_bases_in_any_order_or_subset_give_their_own_rows(self, bases):
         # All bases share one stacked pass; a basis's rows must not depend on
         # which other bases ride along, nor on their order.
-        for params in [AttackParams.bb84(0.7, 1.9)] + edge_batches():
+        for params in [AttackParams("bb84", 0.7, 1.9)] + edge_batches():
             report = verify_symmetry(params, bases=bases)
             expected_keys = [(b, c) for b in bases for c in BASE_CONDITIONS[:3] + ANGLE_CONDITIONS]
             expected_keys += [(b, c) for b in bases for c in BASE_CONDITIONS[3:]]
@@ -406,12 +430,12 @@ class TestVerifySymmetry:
 
     def test_empty_bases_rejected(self):
         with pytest.raises(ValueError, match="at least one basis"):
-            verify_symmetry(AttackParams.bb84(0.5, 0.9), bases=())
+            verify_symmetry(AttackParams("bb84", 0.5, 0.9), bases=())
 
 
 def _accepted_bb84(x, y):
     try:
-        AttackParams.bb84(x, y)
+        AttackParams("bb84", x, y)
     except ValueError:
         return False
     return True
@@ -426,7 +450,7 @@ class TestWholeDomain:
     def bb84_grid(self):
         xs, ys = np.meshgrid(self.GRID, self.GRID, indexing="ij")
         keep = np.array([_accepted_bb84(float(x), float(y)) for x, y in zip(xs.flat, ys.flat)])
-        return AttackParams.bb84(xs.ravel()[keep], ys.ravel()[keep])
+        return AttackParams("bb84", xs.ravel()[keep], ys.ravel()[keep])
 
     def test_grid_drops_only_points_on_the_y_equals_pi_edge(self, bb84_grid):
         # There D = (1 - cos x)/(1 - cos x) is 1 in exact arithmetic, and
@@ -438,7 +462,7 @@ class TestWholeDomain:
         assert max_residual(verify_symmetry(bb84_grid)) <= 1e-12
 
     def test_six_state_conditions_hold_everywhere(self):
-        residuals = verify_symmetry(AttackParams.six_state(self.GRID))
+        residuals = verify_symmetry(AttackParams("six-state", self.GRID))
         assert set(b for b, _ in residuals) == {"Z", "X", "Y"}
         assert max_residual(residuals) <= 1e-12
 
@@ -473,7 +497,7 @@ class TestWholeDomain:
         assert (x[worst], y[worst]) == (math.pi, 0.0)
 
     def test_six_state_chi_same_in_all_three_bases_everywhere(self):
-        v = AttackParams.six_state(self.GRID).isometry
+        v = AttackParams("six-state", self.GRID).isometry
         chi_z = self.chi(v, "Z")
         for basis in "XY":
             assert np.abs(self.chi(v, basis) - chi_z).max() <= 1e-12

@@ -23,11 +23,11 @@ from symqkd.states import Protocol, basis_labels
 
 
 def bb84_at(d):
-    return AttackParams.bb84(math.acos(1 - 2 * d))  # D(x, x) = (1 - cos x)/2
+    return AttackParams("bb84", math.acos(1 - 2 * d))  # D(x, x) = (1 - cos x)/2
 
 
 def six_at(d):
-    return AttackParams.six_state(math.acos((1 - 2 * d) / (1 - d)))
+    return AttackParams("six-state", math.acos((1 - 2 * d) / (1 - d)))
 
 
 def test_angle_helpers_hit_target_qber():
@@ -45,7 +45,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(params=params, rounds=10, seed=2**64)
         with pytest.raises(ValueError, match="batch"):
-            SimConfig(params=AttackParams.bb84([0.5, 0.6]), rounds=2, seed=1)
+            SimConfig(params=AttackParams("bb84", [0.5, 0.6]), rounds=2, seed=1)
 
     @pytest.mark.parametrize("rounds", [1.5, 10.0, "10", True, np.True_])
     def test_non_integer_rounds_rejected(self, rounds):
@@ -78,7 +78,7 @@ class TestConfig:
 
 class TestRunSimulation:
     def test_noiseless_channel_has_zero_qber(self):
-        cfg = SimConfig(params=AttackParams.bb84(0.0, 0.0), rounds=100_000, seed=2024)
+        cfg = SimConfig(params=AttackParams("bb84", 0.0, 0.0), rounds=100_000, seed=2024)
         result = run_simulation(cfg)
         assert result["qber_hat"] == 0.0
         assert result["qber_se"] == 0.0
@@ -323,6 +323,41 @@ class TestRoundBatch:
         np.testing.assert_array_equal(whole.estimation_pick[1_500:], tail.estimation_pick)
 
 
+class TestBlockBounds:
+    """simulate_rounds draws only rounds the run has; any other block raises ValueError naming the bound."""
+
+    CFG = SimConfig(params=bb84_at(0.1), rounds=100, seed=5)
+
+    @pytest.mark.parametrize(
+        "start, count, match",
+        [
+            (-5, 10, ">= 0"),
+            (0, -1, ">= 0"),
+            (95, 10, "<= rounds = 100"),
+            (100, 1, "<= rounds = 100"),
+            (0.5, 3, "start must be an integer"),
+            (True, 3, "start must be an integer"),
+            (0, 3.0, "count must be an integer"),
+            (0, np.True_, "count must be an integer"),
+        ],
+    )
+    def test_block_outside_the_run_rejected(self, start, count, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_rounds(self.CFG, start, count)
+        with pytest.raises(ValueError, match=match):
+            simulate_rounds(self.CFG, start, count, protosim._Stream(self.CFG.seed, 16))
+
+    @pytest.mark.parametrize("start", [0, 37, 100])
+    def test_empty_block_is_empty(self, start):
+        assert all(m.shape == (0,) for m in vars(simulate_rounds(self.CFG, start, 0)).values())
+
+    def test_last_block_and_numpy_integers_accepted(self):
+        whole = simulate_rounds(self.CFG, 0, 100)
+        tail = simulate_rounds(self.CFG, np.int64(90), np.uint8(10))
+        for got, want in zip(vars(tail).values(), vars(whole).values()):
+            np.testing.assert_array_equal(got, want[90:])
+
+
 class TestRecord:
     def test_exact_field_set(self):
         cfg = SimConfig(params=six_at(0.2), rounds=1_000, seed=9)
@@ -356,8 +391,8 @@ class TestMismatchOutcome:
     def test_uniform_for_symmetric_attacks(self):
         # Every label against every other basis of the protocol: Z/X for BB84
         # (generic x != y, the diagonal and the noiseless corner), Z/X/Y for six-state.
-        attacks = [AttackParams.bb84(1.0, 1.7), AttackParams.bb84(1.0, 1.0), AttackParams.bb84(0.0, 0.0)]
-        for params in attacks + [AttackParams.six_state(1.2)]:
+        attacks = [AttackParams("bb84", 1.0, 1.7), AttackParams("bb84", 1.0, 1.0), AttackParams("bb84", 0.0, 0.0)]
+        for params in attacks + [AttackParams("six-state", 1.2)]:
             v = attack_isometry(params)
             bases = params.protocol.bases
             for alice_basis, bob_basis in itertools.permutations(bases, 2):
@@ -367,7 +402,7 @@ class TestMismatchOutcome:
                     assert abs(p1 - 0.5) <= 1e-12, (params, u, bob_basis)
 
     def test_matching_basis_rejected(self):
-        v = attack_isometry(AttackParams.six_state(1.2))
+        v = attack_isometry(AttackParams("six-state", 1.2))
         for basis in ("Z", "X", "Y"):
             for u in basis_labels(basis):
                 with pytest.raises(ValueError, match="must differ"):

@@ -13,6 +13,7 @@ from symqkd.attack import (
     eve_average,
     eve_state,
     qber_bb84,
+    verify_symmetry,
 )
 from symqkd.rates import (
     CURVE_COLUMNS,
@@ -96,7 +97,7 @@ class TestHolevo:
         assert abs(holevo_information(0.5 * (a + b), a, b) - 1.0) <= 1e-12
 
     def test_bb84_attack_value(self):
-        v = attack_isometry(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        v = attack_isometry(AttackParams("bb84", math.pi / 3, math.pi / 3))
         rho_u, rho_f = eve_state(v, "0"), eve_state(v, "1")
         chi = holevo_information(0.5 * (rho_u + rho_f), rho_u, rho_f)
         assert abs(chi - H_QUARTER) <= 1e-9
@@ -114,22 +115,22 @@ def rate_record(params: AttackParams) -> dict:
 
 class TestDwRateNumeric:
     def test_noiseless_channel(self):
-        point = rate_record(AttackParams.bb84(0.0, 0.0))
+        point = rate_record(AttackParams("bb84", 0.0, 0.0))
         assert abs(point["R_DW"] - 1.0) <= 1e-12
         assert point["D"] == 0.0 and point["chi_AE"] <= 1e-12
 
     def test_bb84_at_quarter(self):
-        point = rate_record(AttackParams.bb84(math.pi / 3, math.pi / 3))
+        point = rate_record(AttackParams("bb84", math.pi / 3, math.pi / 3))
         assert abs(point["R_DW"] - RATE_BB84_AT_QUARTER) <= 1e-9
 
     def test_six_state_at_third(self):
-        point = rate_record(AttackParams.six_state(math.pi / 3))
+        point = rate_record(AttackParams("six-state", math.pi / 3))
         assert abs(point["R_DW"] - RATE_SIX_AT_THIRD) <= 1e-9
 
     def test_point_invariants(self):
         rng = np.random.default_rng(99)
         for x, y in rng.uniform(0.2, math.pi - 0.2, size=(8, 2)):
-            params = AttackParams.bb84(float(x), float(y))
+            params = AttackParams("bb84", float(x), float(y))
             point = rate_record(params)
             assert point["I_AB"] == 1.0 - binary_entropy(point["D"])
             assert point["R_DW"] == point["I_AB"] - point["chi_AE"]
@@ -140,13 +141,13 @@ class TestDwRateNumeric:
 
     def test_agrees_with_closed_form_on_grids(self):
         for x in np.linspace(0.0, math.pi, 22)[1:-1]:
-            p_bb = AttackParams.bb84(float(x), float(x))
+            p_bb = AttackParams("bb84", float(x), float(x))
             assert abs(dw_rate_numeric(p_bb)["R_DW"] - (1 - 2 * binary_entropy(p_bb.qber))) <= 1e-9
-            p_six = AttackParams.six_state(float(x))
+            p_six = AttackParams("six-state", float(x))
             assert abs(dw_rate_numeric(p_six)["R_DW"] - closed_rate_six_state(p_six.qber)) <= 1e-9
 
     def test_holevo_same_in_every_protocol_basis(self):
-        for params in [AttackParams.bb84(0.8, 1.3), AttackParams.six_state(1.1)]:
+        for params in [AttackParams("bb84", 0.8, 1.3), AttackParams("six-state", 1.1)]:
             v = attack_isometry(params)
             chis = []
             for basis in params.protocol.bases:
@@ -156,16 +157,40 @@ class TestDwRateNumeric:
             assert max(chis) - min(chis) <= 1e-9
 
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_eve_states_are_those_of_eve_state_bit_for_bit(self, protocol):
-        """The two Z-basis states come from one stacked einsum; chi and S(rho_avg) keep their bits."""
+    def test_eve_states_are_those_of_eve_state_bit_for_bit(self, protocol, monkeypatch):
+        """Both Z-basis states come from one eve_state(v, "01") call per rate; chi and S(rho_avg) keep their bits."""
+        calls = []
+
+        def counted(v, u):
+            calls.append((v, u))
+            return eve_state(v, u)
+
+        monkeypatch.setattr(rates, "eve_state", counted)
         xs = np.linspace(0.0, math.pi, 97)[:-1]
         for params in [AttackParams(protocol, xs), AttackParams(protocol, 1.1)]:
             v = params.isometry
             rho_u, rho_flip = eve_state(v, "0"), eve_state(v, "1")
             chi, s_avg = rates._holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
+            calls.clear()
             point = dw_rate_numeric(params)
+            assert len(calls) == 1 and calls[0][0] is v and calls[0][1] == "01"
             assert np.asarray(point["chi_AE"]).tobytes() == chi.tobytes()
             assert np.asarray(point["identity_residual"]).tobytes() == np.abs(point["R_DW"] - (1.0 - s_avg)).tobytes()
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_empty_batches_get_empty_answers(protocol, shape):
+    params = AttackParams(protocol, np.zeros(shape))
+    assert params.isometry.shape == shape + (8, 2)
+    assert eve_state(params.isometry, "01").shape == shape + (2, 4, 4)
+    residuals = verify_symmetry(params)
+    assert len(residuals) == 8 * len(protocol.bases)  # 16 for BB84, 24 for six-state
+    assert all(r.shape == shape for r in residuals.values())
+    assert all(r.shape == shape for r in dw_rate_numeric(params).values())
+    assert general_rate_bb84(params.x, params.y).shape == shape
+    assert closed_rate_bb84(params.qber).shape == closed_rate_six_state(params.qber).shape == shape
+    assert von_neumann_entropy(np.zeros(shape + (4, 4))).shape == shape
 
 
 class TestBranchEigenvalue:
@@ -179,7 +204,7 @@ class TestBranchEigenvalue:
         # exactly H(D) bits, the rest sits inside the branches.
         rng = np.random.default_rng(31)
         for x, y in rng.uniform(0.2, math.pi - 0.2, size=(6, 2)):
-            params = AttackParams.bb84(float(x), float(y))
+            params = AttackParams("bb84", float(x), float(y))
             v = attack_isometry(params)
             rho_f, rho_d = branch_states(v, "Z")
             f, d = params.fidelity, params.qber
@@ -226,7 +251,7 @@ class TestClosedRates:
 
     def test_bb84_matches_numeric_rate_past_one_half(self):
         # On the diagonal x = y in [pi/2, pi) the QBER sweeps [1/2, 1), and 1 - 2 H(D) is still the rate.
-        point = rate_record(AttackParams.bb84(np.linspace(math.pi / 2, math.pi, 4000, endpoint=False)))
+        point = rate_record(AttackParams("bb84", np.linspace(math.pi / 2, math.pi, 4000, endpoint=False)))
         assert abs(point["D"].min() - 0.5) <= 1e-15 and point["D"].max() > 0.999
         np.testing.assert_allclose(closed_rate_bb84(point["D"]), point["R_DW"], rtol=0, atol=1e-12)
 
@@ -238,7 +263,7 @@ class TestClosedRates:
 class TestGeneralRate:
     def test_diagonal_matches_bb84_closed_form(self):
         for x in np.linspace(0.1, math.pi - 0.1, 25):
-            d = AttackParams.bb84(float(x), float(x)).qber
+            d = AttackParams("bb84", float(x), float(x)).qber
             assert abs(general_rate_bb84(float(x), float(x)) - (1 - 2 * binary_entropy(d))) <= 1e-12
 
     def test_mixed_angle_value(self):
@@ -251,7 +276,7 @@ class TestGeneralRate:
     @given(st.floats(0.0, math.pi), st.floats(0.0, math.pi))
     def test_cross_checked_by_numeric_pipeline(self, x, y):
         try:  # QBER 1 or a vanishing 2 - cos x + cos y: no attack to rate
-            params = AttackParams.bb84(x, y)
+            params = AttackParams("bb84", x, y)
         except ValueError:
             reject()
         assert abs(dw_rate_numeric(params)["R_DW"] - general_rate_bb84(params.x, params.y)) <= 1e-9
@@ -263,7 +288,7 @@ class TestGeneralRate:
         x, y = (a.ravel() for a in np.meshgrid(g, g))
         attack = y < math.pi
         assert attack.sum() == 60 * 61
-        params = AttackParams.bb84(x[attack], y[attack])
+        params = AttackParams("bb84", x[attack], y[attack])
         diff = np.abs(dw_rate_numeric(params)["R_DW"] - general_rate_bb84(params.x, params.y))
         assert diff.max() <= 1e-9
 
@@ -315,7 +340,7 @@ class TestGeneralRate:
 
 class TestBatches:
     def test_batch_point_compares_and_hashes_by_identity(self):
-        params = AttackParams.bb84([0.3, 0.5])
+        params = AttackParams("bb84", [0.3, 0.5])
         point = dw_rate_numeric(params)  # a plain dict; the attack hashes by identity
         assert point == point and params == params
         hash(params)
@@ -335,11 +360,11 @@ class TestBatches:
     def test_one_out_of_domain_point_rejects_the_batch(self):
         ok = [0.3, 1.0, 2.0]
         with pytest.raises(ValueError):  # x = y = pi: QBER 1
-            AttackParams.bb84(ok + [math.pi], ok + [math.pi])
+            AttackParams("bb84", ok + [math.pi], ok + [math.pi])
         with pytest.raises(ValueError):  # x = 0, y = pi: degenerate denominator
-            AttackParams.bb84(ok + [0.0], ok + [math.pi])
+            AttackParams("bb84", ok + [0.0], ok + [math.pi])
         with pytest.raises(ValueError):
-            AttackParams.bb84(ok + [math.nan])
+            AttackParams("bb84", ok + [math.nan])
         with pytest.raises(ValueError, match="pi/2"):
             AttackParams(Protocol.SIX_STATE, ok, [math.pi / 2, math.pi / 2, 0.3])
         for fn, d in (
