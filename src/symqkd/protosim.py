@@ -135,7 +135,12 @@ class _Stream:
         self.at = 0
 
     def draw(self, start: int, count: int) -> np.ndarray:
-        """The uniforms of rounds [start, start+count), one round a row, in the buffer's first rows."""
+        """The uniforms of rounds [start, start+count), one round a row, in the buffer's first rows.
+
+        A count larger than the buffer raises ValueError before the generator moves.
+        """
+        if count > len(self.buffer):
+            raise ValueError(f"count {count} exceeds the stream buffer's {len(self.buffer)} rows")
         self.generator.bit_generator.advance((start - self.at) * DRAWS_PER_ROUND)
         self.at = start + count
         return self.generator.random(out=self.buffer[:count])

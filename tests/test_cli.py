@@ -15,12 +15,25 @@ from symqkd import attack, cli, rates
 from symqkd.states import Protocol
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
-    cmd = [sys.executable, "-m", "symqkd", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+def run_in_process(argv: list[str], env: dict[str, str] | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one cli.main call, with QKD_LOG unset unless ``env`` sets it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QKD_LOG", raising=False)
+        for name, value in (env or {}).items():
+            mp.setenv(name, value)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(argv: list[str], env: dict[str, str] | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a fresh `python -m symqkd` in this environment plus ``env``."""
+    cmd = [sys.executable, "-m", "symqkd", *argv]
+    cp = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **(env or {})})
+    return cp.returncode, cp.stdout, cp.stderr
 
 
 def avx512_ufuncs() -> bool:
@@ -34,10 +47,10 @@ def avx512_ufuncs() -> bool:
 
 
 def test_help():
-    cp = run_cli("--help")
-    assert cp.returncode == 0, cp.stderr
+    code, out, err = run_in_process(["--help"])
+    assert code == 0, err
     for command in ("verify", "curve", "threshold", "minimize", "simulate"):
-        assert command in cp.stdout
+        assert command in out
 
 
 class TestVerify:
@@ -54,36 +67,36 @@ class TestVerify:
         assert values[-1] == max(values[:-1]) <= 1e-9
 
     def test_bb84_passes(self):
-        cp = run_cli("verify", "--protocol", "bb84", "--x", "0.7", "--y", "0.7")
-        assert cp.returncode == 0, cp.stderr
-        self.assert_rows(cp.stdout, "ZX")
+        code, out, err = run_in_process(["verify", "--protocol", "bb84", "--x", "0.7", "--y", "0.7"])
+        assert code == 0, err
+        self.assert_rows(out, "ZX")
 
     def test_six_state_passes_including_y_basis(self):
-        cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0")
-        assert cp.returncode == 0, cp.stderr
-        self.assert_rows(cp.stdout, "ZXY")
+        code, out, err = run_in_process(["verify", "--protocol", "six-state", "--x", "1.0"])
+        assert code == 0, err
+        self.assert_rows(out, "ZXY")
 
     def test_six_state_accepts_y_as_printed_by_curve(self):
-        curve = run_cli("curve", "--protocol", "six-state", "--grid", "3")
-        y = curve.stdout.splitlines()[1].split(",")[1]
+        y = run_in_process(["curve", "--protocol", "six-state", "--grid", "3"])[1].splitlines()[1].split(",")[1]
         assert y == "1.57079632679"
-        cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0", "--y", y)
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run_in_process(["verify", "--protocol", "six-state", "--x", "1.0", "--y", y])
+        assert code == 0, err
 
     def test_six_state_rejects_free_y(self):
-        cp = run_cli("verify", "--protocol", "six-state", "--x", "1.0", "--y", "0.3")
-        assert cp.returncode == 2
-        assert "pi/2" in cp.stderr
+        code, _, err = run_in_process(["verify", "--protocol", "six-state", "--x", "1.0", "--y", "0.3"])
+        assert code == 2
+        assert "pi/2" in err
 
     def test_bb84_y_defaults_to_x(self):
-        cp = run_cli("verify", "--protocol", "bb84", "--x", "0.9")
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run_in_process(["verify", "--protocol", "bb84", "--x", "0.9"])
+        assert code == 0, err
 
     def test_bb84_y_equals_pi_rejected(self):
         # QBER is 1 on this edge, although (1 - cos x)/(1 - cos x) rounds below 1 here.
-        cp = run_cli("verify", "--protocol", "bb84", "--x", "1.5707963267948966", "--y", "3.141592653589793")
-        assert cp.returncode == 2
-        assert "y = pi" in cp.stderr
+        argv = ["verify", "--protocol", "bb84", "--x", "1.5707963267948966", "--y", "3.141592653589793"]
+        code, _, err = run_in_process(argv)
+        assert code == 2
+        assert "y = pi" in err
 
 
 class TestIsometryBuilds:
@@ -103,13 +116,13 @@ class TestIsometryBuilds:
         [["--protocol", "bb84", "--x", "0.7", "--y", "1.9"], ["--protocol", "six-state", "--x", "1.0"]],
         ids=["bb84", "six-state"],
     )
-    def test_verify_builds_it_once(self, argv, builds, capsys):
-        assert cli.main(["verify", *argv]) == 0
+    def test_verify_builds_it_once(self, argv, builds):
+        assert run_in_process(["verify", *argv])[0] == 0
         assert len(builds) == 1
 
-    def test_simulate_never_builds_it(self, builds, capsys):
+    def test_simulate_never_builds_it(self, builds):
         for protocol in ("bb84", "six-state"):
-            assert cli.main(["simulate", "--protocol", protocol, "--x", "0.5", "--rounds", "1000"]) == 0
+            assert run_in_process(["simulate", "--protocol", protocol, "--x", "0.5", "--rounds", "1000"])[0] == 0
         assert builds == []
 
 
@@ -118,8 +131,8 @@ class TestCurve:
 
     def test_bb84_grid_three(self, tmp_path):
         out = tmp_path / "curve.csv"
-        cp = run_cli("curve", "--protocol", "bb84", "--grid", "3", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run_in_process(["curve", "--protocol", "bb84", "--grid", "3", "--out", str(out)])
+        assert code == 0, err
         lines = out.read_text().strip().splitlines()
         assert lines[0] == self.HEADER
         assert len(lines) == 4
@@ -131,16 +144,16 @@ class TestCurve:
 
     def test_six_state_oracle_agreement(self, tmp_path):
         out = tmp_path / "curve.csv"
-        cp = run_cli("curve", "--protocol", "six-state", "--grid", "60", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run_in_process(["curve", "--protocol", "six-state", "--grid", "60", "--out", str(out)])
+        assert code == 0, err
         rows = out.read_text().strip().splitlines()[1:]
         diffs = [float(r.split(",")[-1]) for r in rows]
         assert max(diffs) <= 1e-9
 
     def test_json_rows_share_keys(self):
-        cp = run_cli("curve", "--protocol", "bb84", "--grid", "4", "--format", "json")
-        assert cp.returncode == 0, cp.stderr
-        payload = json.loads(cp.stdout)
+        code, out, err = run_in_process(["curve", "--protocol", "bb84", "--grid", "4", "--format", "json"])
+        assert code == 0, err
+        payload = json.loads(out)
         assert len(payload) == 4
         keys = tuple(payload[0])
         assert keys == tuple(self.HEADER.split(","))
@@ -155,11 +168,10 @@ class TestCurve:
 
     @pytest.mark.parametrize("grid", [2, 3, 200, 4097])
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_output_pinned_to_stdlib_formatting(self, protocol, grid, capsys):
+    def test_output_pinned_to_stdlib_formatting(self, protocol, grid):
         for fmt, expected in self.stdlib_reference(rates.rate_curve(protocol, grid)).items():
             argv = ["curve", "--protocol", protocol.value, "--grid", str(grid), "--format", fmt]
-            assert cli.main(argv) == 0
-            assert capsys.readouterr().out == expected
+            assert run_in_process(argv)[:2] == (0, expected)
 
     # Cells on every side of the JSON token rule: integral values ('.0' appended),
     # 1e-4 and the %.12g exponents just below it, a subnormal and a normal at the
@@ -170,39 +182,37 @@ class TestCurve:
         2.2250738585072014e-308, 123456789012.0, 1.5e12, 1e16,
     )
 
-    def test_json_token_rule_on_edge_cells(self, monkeypatch, capsys):
+    def test_json_token_rule_on_edge_cells(self, monkeypatch):
         k = len(self.EDGE_CELLS)
         columns = [np.roll(self.EDGE_CELLS, -j) for j in range(7)]  # each cell in every column
         table = np.column_stack(columns + [np.abs(columns[5] - columns[6])])
         monkeypatch.setattr(rates, "rate_curve", lambda protocol, grid: table)
         for fmt, expected in self.stdlib_reference(table).items():
-            assert cli.main(["curve", "--protocol", "bb84", "--grid", str(k), "--format", fmt]) == 0
-            assert capsys.readouterr().out == expected
+            argv = ["curve", "--protocol", "bb84", "--grid", str(k), "--format", fmt]
+            assert run_in_process(argv)[:2] == (0, expected)
 
     def test_unwritable_path_is_io_failure(self):
-        cp = run_cli("curve", "--protocol", "bb84", "--grid", "3", "--out", "/nonexistent/dir/x.csv")
-        assert cp.returncode == 1
+        assert run_in_process(["curve", "--protocol", "bb84", "--grid", "3", "--out", "/nonexistent/dir/x.csv"])[0] == 1
 
     def test_tiny_grid_rejected(self):
-        cp = run_cli("curve", "--protocol", "bb84", "--grid", "1")
-        assert cp.returncode == 2
+        assert run_in_process(["curve", "--protocol", "bb84", "--grid", "1"])[0] == 2
 
 
 class TestThreshold:
     def test_bb84(self):
-        cp = run_cli("threshold", "--protocol", "bb84")
-        assert cp.returncode == 0, cp.stderr
-        assert "0.110028" in cp.stdout
+        code, out, err = run_in_process(["threshold", "--protocol", "bb84"])
+        assert code == 0, err
+        assert "0.110028" in out
 
     def test_six_state(self):
-        cp = run_cli("threshold", "--protocol", "six-state")
-        assert cp.returncode == 0, cp.stderr
-        assert "0.126193" in cp.stdout
+        code, out, err = run_in_process(["threshold", "--protocol", "six-state"])
+        assert code == 0, err
+        assert "0.126193" in out
 
     def test_six_state_threshold_larger(self):
-        d_bb = float(run_cli("threshold", "--protocol", "bb84").stdout.splitlines()[1].split()[-1])
-        d_six = float(
-            run_cli("threshold", "--protocol", "six-state").stdout.splitlines()[1].split()[-1]
+        d_bb, d_six = (
+            float(run_in_process(["threshold", "--protocol", p])[1].splitlines()[1].split()[-1])
+            for p in ("bb84", "six-state")
         )
         assert d_six > d_bb
 
@@ -213,42 +223,41 @@ class TestThreshold:
             ("six-state", "protocol:   six-state\nD_star:     0.126193\nresidual:   7.42017558508e-11\niterations: 33\n"),
         ],
     )
-    def test_stdout_pinned(self, protocol, text, capsys):
-        assert cli.main(["threshold", "--protocol", protocol]) == 0
-        assert capsys.readouterr().out == text
+    def test_stdout_pinned(self, protocol, text):
+        assert run_in_process(["threshold", "--protocol", protocol])[:2] == (0, text)
 
 
 class TestMinimize:
     def test_five_percent_gap(self):
-        cp = run_cli("minimize", "--d-target", "0.05", "--grid", "800")
-        assert cp.returncode == 0, cp.stderr
-        fields = dict(line.split(":") for line in cp.stdout.strip().splitlines())
+        code, out, err = run_in_process(["minimize", "--d-target", "0.05", "--grid", "800"])
+        assert code == 0, err
+        fields = dict(line.split(":") for line in out.strip().splitlines())
         assert float(fields["gap"]) <= 1e-6
 
     @pytest.mark.parametrize("d_target", ["1e-10", "1e-12", "1e-15"])
-    def test_tiny_target_is_not_a_degenerate_angle(self, d_target, capsys):
+    def test_tiny_target_is_not_a_degenerate_angle(self, d_target):
         # cos(x) rounds to 1 at the first scan points here; they have QBER 0,
         # not the target, and must be skipped, not handed to the rate formula.
-        assert cli.main(["minimize", "--d-target", d_target, "--grid", "2000"]) == 0
-        fields = dict(line.split(":") for line in capsys.readouterr().out.strip().splitlines())
+        code, out, _ = run_in_process(["minimize", "--d-target", d_target, "--grid", "2000"])
+        assert code == 0
+        fields = dict(line.split(":") for line in out.strip().splitlines())
         assert float(fields["gap"]) <= 1e-9
         assert abs(float(fields["x_best"]) / math.acos(1.0 - 2.0 * float(d_target)) - 1.0) <= 0.015
 
     @pytest.mark.parametrize("d_target", ["1e-16", "1e-17", "5e-324"])
-    def test_target_below_the_floor_exits_two(self, d_target, capsys):
+    def test_target_below_the_floor_exits_two(self, d_target):
         # Below 1e-15, cos(x) rounds to 1 near x* and no scan resolves the argmin.
-        assert cli.main(["minimize", "--d-target", d_target, "--grid", "2000"]) == 2
-        assert capsys.readouterr().err == f"error: target QBER {d_target} below minimize's floor 1e-15\n"
+        code, _, err = run_in_process(["minimize", "--d-target", d_target, "--grid", "2000"])
+        assert (code, err) == (2, f"error: target QBER {d_target} below minimize's floor 1e-15\n")
 
     def test_quarter_lands_on_diagonal(self):
-        cp = run_cli("minimize", "--d-target", "0.25", "--grid", "800")
-        fields = dict(line.split(":") for line in cp.stdout.strip().splitlines())
+        out = run_in_process(["minimize", "--d-target", "0.25", "--grid", "800"])[1]
+        fields = dict(line.split(":") for line in out.strip().splitlines())
         assert abs(float(fields["x_best"]) - math.pi / 3) <= 1e-4
         assert abs(float(fields["y_best"]) - math.pi / 3) <= 1e-4
 
     def test_out_of_domain_rejected(self):
-        cp = run_cli("minimize", "--d-target", "0.6", "--grid", "800")
-        assert cp.returncode == 2
+        assert run_in_process(["minimize", "--d-target", "0.6", "--grid", "800"])[0] == 2
 
     # Digits 9-12 of x_best and y_best are search-path noise, so this text
     # moves if the golden-section search takes any other path. It was printed
@@ -293,52 +302,47 @@ class TestMinimize:
     }
 
     @pytest.mark.parametrize("fields", PINNED, ids=lambda f: "-".join(f[:2]))
-    def test_stdout_pinned(self, fields, capsys):
+    def test_stdout_pinned(self, fields):
         d_target, grid = fields[:2]
         printed = fields[2:] if avx512_ufuncs() else self.WITHOUT_AVX512.get((d_target, grid), fields[2:])
-        assert cli.main(["minimize", "--d-target", d_target, "--grid", grid]) == 0
-        assert capsys.readouterr().out == self.RECORD % (d_target, *printed)
+        argv = ["minimize", "--d-target", d_target, "--grid", grid]
+        assert run_in_process(argv)[:2] == (0, self.RECORD % (d_target, *printed))
 
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ("simulate", "--protocol", "bb84", "--x", "0.92", "--rounds", "100000", "--seed", "42")
-        assert run_cli(*args, "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--out", str(b)).returncode == 0
+        argv = ["simulate", "--protocol", "bb84", "--x", "0.92", "--rounds", "100000", "--seed", "42"]
+        assert run_in_process([*argv, "--out", str(a)])[0] == 0
+        assert run_in_process([*argv, "--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_bb84_qber_within_four_sigma(self, tmp_path):
         out = tmp_path / "sim.json"
         x = math.acos(1 - 2 * 0.1)
-        cp = run_cli(
-            "simulate", "--protocol", "bb84", "--x", str(x),
-            "--rounds", "200000", "--seed", "42", "--out", str(out),
-        )
-        assert cp.returncode == 0, cp.stderr
+        argv = ["simulate", "--protocol", "bb84", "--x", str(x), "--rounds", "200000", "--seed", "42"]
+        code, _, err = run_in_process([*argv, "--out", str(out)])
+        assert code == 0, err
         record = json.loads(out.read_text())
         assert abs(record["qber_hat"] - 0.1) <= 4 * record["qber_se"]
         assert record["rng_name"] == "numpy-pcg64"
 
     def test_six_state_sift_fraction(self, tmp_path):
         out = tmp_path / "sim.json"
-        cp = run_cli(
-            "simulate", "--protocol", "six-state", "--x", "1.0",
-            "--rounds", "200000", "--seed", "11", "--out", str(out),
-        )
-        assert cp.returncode == 0, cp.stderr
+        argv = ["simulate", "--protocol", "six-state", "--x", "1.0", "--rounds", "200000", "--seed", "11"]
+        code, _, err = run_in_process([*argv, "--out", str(out)])
+        assert code == 0, err
         record = json.loads(out.read_text())
         sift_se = math.sqrt((1 / 3) * (2 / 3) / record["rounds"])
         assert abs(record["sift_fraction"] - 1 / 3) <= 4 * sift_se
 
     def test_zero_rounds_rejected(self):
-        cp = run_cli("simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", "0")
-        assert cp.returncode == 2
+        assert run_in_process(["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", "0"])[0] == 2
 
-    def test_rounds_past_the_int64_counts_exit_two(self, capsys):
+    def test_rounds_past_the_int64_counts_exit_two(self):
         rounds = str(10**30)
-        assert cli.main(["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", rounds, "--seed", "1"]) == 2
-        assert capsys.readouterr() == ("", f"error: rounds must be between 1 and 2**63 - 1, not {rounds}\n")
+        argv = ["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", rounds, "--seed", "1"]
+        assert run_in_process(argv) == (2, "", f"error: rounds must be between 1 and 2**63 - 1, not {rounds}\n")
 
     # The child pins itself to one CPU of its affinity set, as `taskset -c` does,
     # before the simulator counts the CPUs it may use.
@@ -348,12 +352,13 @@ class TestSimulate:
     )
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
-    def test_one_cpu_run_prints_the_bytes_of_an_unpinned_run(self):
-        """Pinned to one CPU the simulator runs one worker, unpinned one per CPU: same bytes."""
+    def test_one_cpu_run_prints_the_bytes_of_an_unpinned_run(self, monkeypatch):
+        """Pinned to one CPU the simulator runs one worker, unpinned (here, in process) one per CPU: same bytes."""
+        monkeypatch.delenv("QKD_LOG", raising=False)  # the child logs at run_in_process's default level too
         argv = ["simulate", "--protocol", "six-state", "--x", "0.9", "--rounds", "300000", "--seed", "11"]
         pinned = subprocess.run([sys.executable, "-c", self.PIN_TO_ONE_CPU, *argv], capture_output=True, text=True)
         assert (pinned.returncode, pinned.stderr) == (0, "")
-        assert pinned.stdout == run_cli(*argv).stdout
+        assert (pinned.returncode, pinned.stdout, pinned.stderr) == run_in_process(argv)
 
     # The JSON record, byte for byte, on both sides of a block boundary
     # (32769 is one round past a block) and for a ragged run.
@@ -398,11 +403,10 @@ class TestSimulate:
     ]
 
     @pytest.mark.parametrize("fields", PINNED, ids=lambda f: "-".join((f[0], f[4], f[5])))
-    def test_stdout_pinned(self, fields, capsys):
+    def test_stdout_pinned(self, fields):
         protocol, x, _, _, rounds, seed = fields[:6]
         argv = ["simulate", "--protocol", protocol, "--x", x, "--rounds", rounds, "--seed", seed]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == self.RECORD % fields
+        assert run_in_process(argv)[:2] == (0, self.RECORD % fields)
 
 
 class CountingStdout(io.StringIO):
@@ -440,17 +444,14 @@ def test_each_command_writes_its_result_in_one_write(argv, monkeypatch):
 
 class TestEnvironment:
     def test_unknown_flags_exit_two(self):
-        assert run_cli("threshold", "--protocol", "b92").returncode == 2
-        assert run_cli("frobnicate").returncode == 2
+        assert run_in_process(["threshold", "--protocol", "b92"])[0] == 2
+        assert run_in_process(["frobnicate"])[0] == 2
 
     def test_logging_goes_to_stderr_only(self):
-        cp = run_cli(
-            "curve", "--protocol", "bb84", "--grid", "3",
-            env_extra={"QKD_LOG": "info"},
-        )
-        assert cp.returncode == 0
-        assert "INFO" in cp.stderr
-        assert cp.stdout.splitlines()[0] == TestCurve.HEADER
+        code, out, err = run_in_process(["curve", "--protocol", "bb84", "--grid", "3"], env={"QKD_LOG": "info"})
+        assert code == 0
+        assert "INFO" in err
+        assert out.splitlines()[0] == TestCurve.HEADER
 
     @pytest.mark.parametrize(
         "argv",
@@ -459,18 +460,16 @@ class TestEnvironment:
             ["minimize", "--d-target", "0.1", "--grid", "1000000000000"],
         ],
     )
-    def test_size_too_large_for_memory_exits_two(self, argv, monkeypatch, capsys):
+    def test_size_too_large_for_memory_exits_two(self, argv, monkeypatch):
         """A --grid the machine cannot hold is an invalid argument: one error line, no traceback."""
         message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
 
         def out_of_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.delenv("QKD_LOG", raising=False)
         monkeypatch.setattr(rates, "rate_curve", out_of_memory)
         monkeypatch.setattr(rates, "minimize_family_rate", out_of_memory)
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run_in_process(argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -512,37 +511,34 @@ class TestEnvironment:
         assert (result[0], result[2]) == (code, err)
         assert run_in_process([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == result
 
-    def test_each_in_process_call_applies_its_own_log_level_and_stderr(self, monkeypatch):
-        monkeypatch.delenv("QKD_LOG", raising=False)
-        with contextlib.redirect_stderr(io.StringIO()) as first:
-            assert cli.main(["threshold", "--protocol", "bb84"]) == 0
-        monkeypatch.setenv("QKD_LOG", "info")
-        with contextlib.redirect_stderr(io.StringIO()) as second:
-            assert cli.main(["threshold", "--protocol", "bb84"]) == 0
-        assert first.getvalue() == ""
-        assert second.getvalue().startswith("INFO symqkd: bisection converged in ")
+    def test_each_in_process_call_applies_its_own_log_level_and_stderr(self):
+        argv = ["threshold", "--protocol", "bb84"]
+        first, second = run_in_process(argv), run_in_process(argv, env={"QKD_LOG": "info"})
+        assert (first[0], second[0]) == (0, 0)
+        assert first[2] == ""
+        assert second[2].startswith("INFO symqkd: bisection converged in ")
 
-    def test_repeated_in_process_calls_match_fresh_processes(self, monkeypatch):
-        """One process's parser serves every call: each call matches a fresh `python -m symqkd`."""
+    def test_repeated_in_process_calls_match_fresh_processes(self, monkeypatch, tmp_path):
+        """One process's parser serves every call: each call matches a fresh `python -m symqkd`.
+
+        Every other CLI test calls cli.main in process, as the benchmark does;
+        this corpus is what shows that doing so stands for a fresh process.
+        """
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
         monkeypatch.delenv("QKD_LOG", raising=False)
         calls = [
-            ["verify", "--protocol", "bb84", "--x", "1.0", "--y", "0.5"],
-            ["verify", "--protocol", "bb84", "--x", "1.0"],  # --y must not leak from the call before
-            ["threshold", "--protocol", "b92"],
-            ["curve", "--protocol", "bb84", "--grid", "1"],
-            ["--help"],
-            ["simulate", "--protocol", "six-state", "--x", "0.8", "--rounds", "2000", "--seed", "5"],
-            ["threshold", "--protocol", "bb84"],
+            (["verify", "--protocol", "bb84", "--x", "1.0", "--y", "0.5"], None),
+            (["verify", "--protocol", "bb84", "--x", "1.0"], None),  # --y must not leak from the call before
+            (["threshold", "--protocol", "b92"], None),
+            (["curve", "--protocol", "bb84", "--grid", "1"], None),
+            (["--help"], None),
+            (["simulate", "--protocol", "six-state", "--x", "0.8", "--rounds", "2000", "--seed", "5"], None),
+            (["threshold", "--protocol", "bb84"], None),
+            (["curve", "--protocol", "bb84", "--grid", "3", "--out", str(tmp_path / "missing" / "x.csv")], None),
+            (["curve", "--protocol", "bb84", "--grid", "3"], {"QKD_LOG": "info"}),  # INFO on stderr, CSV on stdout
         ]
-        for argv in calls:
-            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            fresh = run_cli(*argv)
-            assert (code, out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        for argv, env in calls:
+            assert run_in_process(argv, env) == run_cli(argv, env), argv
         assert cli.build_parser() is cli.build_parser()
 
 
@@ -595,18 +591,6 @@ def assert_parses(command: str, argv: list[str], stdout: str) -> None:
             key, value = line.split()
             if key != "protocol:":
                 float(value)
-
-
-def run_in_process(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one cli.main call at the default log level."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("QKD_LOG", raising=False)
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=500, deadline=None)

@@ -347,6 +347,14 @@ class TestBlockBounds:
         with pytest.raises(ValueError, match=match):
             simulate_rounds(self.CFG, start, count, protosim._Stream(self.CFG.seed, 16))
 
+    def test_block_larger_than_the_stream_buffer_rejected(self):
+        """The refused draw leaves the stream where it was: its next draw is a fresh stream's, bit for bit."""
+        stream = protosim._Stream(self.CFG.seed, 16)
+        with pytest.raises(ValueError, match="count 50 exceeds the stream buffer's 16 rows"):
+            simulate_rounds(self.CFG, 0, 50, stream)
+        fresh = protosim._Stream(self.CFG.seed, 16)
+        assert stream.draw(40, 16).tobytes() == fresh.draw(40, 16).tobytes()
+
     @pytest.mark.parametrize("start", [0, 37, 100])
     def test_empty_block_is_empty(self, start):
         assert all(m.shape == (0,) for m in vars(simulate_rounds(self.CFG, start, 0)).values())
