@@ -63,6 +63,8 @@ def _table(rows, width: int) -> str:
 
 def _emit(text: str, out: str | None = None) -> None:
     if out is None:
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:

@@ -2,12 +2,15 @@
 
 The simulator samples the classical statistics the channel induces: Bob's
 outcome follows Alice's bit with probability F = 1 - D when the bases
-match, and is uniform when they differ (mutually unbiased bases make every
-mismatched measurement a coin flip; ``mismatch_outcome_check`` verifies
-that shortcut against the actual reduced state). Neither bit is ever
-formed: sifting drops every mismatched round, and on a kept round Bob's
-bit differs from Alice's exactly when the outcome draw falls below D. Eve's
-quantum memory is never simulated - her information is bounded analytically.
+match, and is uniform when they differ. That shortcut holds because
+``attack.verify_symmetry``'s ``channel_contraction`` row checks that Bob's
+state is the uniform contraction of the one sent, in every protocol basis,
+and those bases are mutually unbiased, so a mismatched measurement is a coin
+flip; a whole-domain test reads the coin flip from ``attack.bob_state``.
+Neither bit is ever formed: sifting drops every mismatched round, and on a
+kept round Bob's bit differs from Alice's exactly when the outcome draw
+falls below D. Eve's quantum memory is never simulated - her information is
+bounded analytically.
 
 Randomness: numpy's PCG64, with exactly 5 draws consumed per round (bit,
 Alice basis, Bob basis, outcome, estimation pick). Because the stream is
@@ -35,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, bob_state
-from .states import SIGNAL_STATES, basis_labels, basis_rows
+from .attack import AttackParams
 
 __all__ = [
     "BLOCK_ROUNDS",
@@ -45,7 +47,6 @@ __all__ = [
     "RNG_NAME",
     "RoundBatch",
     "SimConfig",
-    "mismatch_outcome_check",
     "run_simulation",
     "simulate_rounds",
 ]
@@ -214,15 +215,3 @@ def run_simulation(cfg: SimConfig) -> dict:
         "rng_name": RNG_NAME,
     }
 
-
-def mismatch_outcome_check(v: np.ndarray, alice_u: str, bob_basis: str) -> tuple[float, float]:
-    """Born probabilities of Bob's two outcomes in a non-matching basis.
-
-    For any symmetric attack both come out 1/2, which is what licenses the
-    simulator's uniform sampling on basis mismatch.
-    """
-    if alice_u in basis_labels(bob_basis):
-        raise ValueError("bob_basis must differ from the basis of alice_u")
-    rho = bob_state(v, alice_u)
-    p0, p1 = (float(np.vdot(ket, rho @ ket).real) for ket in SIGNAL_STATES[basis_rows((bob_basis,))])
-    return p0, p1

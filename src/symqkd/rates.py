@@ -44,7 +44,7 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 _EIG_CLAMP = -1e-12
-_AVG_TOL = 1e-10
+_CHI_TOL = 1e-10  # round-off allowed below chi = 0
 _RATE_CONSISTENCY_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _LOOKAHEAD = 4  # golden-section steps whose points one array call evaluates ahead
@@ -98,25 +98,24 @@ def von_neumann_entropy(rho):
     return -_xlog2x(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
-def _holevo(rho_avg, rho_u, rho_flip) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, S(rho_avg)) of equiprobable pairs from one eigenvalue call; rho_avg is not checked."""
-    s_avg, s_u, s_flip = von_neumann_entropy(np.stack([rho_avg, rho_u, rho_flip]))
-    chi = s_avg - 0.5 * (s_u + s_flip)
-    if (chi < -_AVG_TOL).any():
+def _holevo(states) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, S(rho_avg)) of each equiprobable pair of a (..., 2, n, n) stack, from one eigenvalue call."""
+    s = von_neumann_entropy(np.concatenate([0.5 * (states[..., :1, :, :] + states[..., 1:, :, :]), states], axis=-3))
+    chi = s[..., 0] - 0.5 * (s[..., 1] + s[..., 2])
+    if (chi < -_CHI_TOL).any():
         raise RuntimeError(f"Holevo information came out negative ({chi.min():.3e})")
-    return np.maximum(chi, 0.0), s_avg
+    return np.maximum(chi, 0.0), s[..., 0]
 
 
-def holevo_information(rho_avg, rho_u, rho_flip):
-    """Holevo bound on an equiprobable two-state ensemble, or on each of a stack of them.
+def holevo_information(states):
+    """Holevo bound of each equiprobable pair of a (..., 2, n, n) stack, as ``attack.eve_state(v, "01")`` returns.
 
-    chi = S(rho_avg) - [S(rho_u) + S(rho_flip)] / 2; rho_avg must actually
-    be the average of the pair. Tiny negative round-off is clamped to 0.
+    chi = S(rho_avg) - [S(rho_0) + S(rho_1)] / 2 with rho_avg the pair's
+    average. Tiny negative round-off is clamped to 0.
     """
-    rho_avg, rho_u, rho_flip = np.asarray(rho_avg), np.asarray(rho_u), np.asarray(rho_flip)
-    if (np.linalg.norm(rho_avg - 0.5 * (rho_u + rho_flip), axis=(-2, -1)) > _AVG_TOL).any():
-        raise ValueError("rho_avg is not the average of the two ensemble states")
-    return _holevo(rho_avg, rho_u, rho_flip)[0]
+    if np.ndim(states) < 3 or np.shape(states)[-3] != 2:
+        raise ValueError(f"expected a (..., 2, n, n) stack of state pairs, got shape {np.shape(states)}")
+    return _holevo(np.asarray(states))[0]
 
 
 def dw_rate_numeric(params: AttackParams) -> dict:
@@ -129,9 +128,7 @@ def dw_rate_numeric(params: AttackParams) -> dict:
     (one attack) or arrays (a batch) keyed I_AB, chi_AE, R_DW and
     identity_residual = |R_DW - (1 - S(rho_E))|.
     """
-    rho = eve_state(params.isometry, "01")  # Eve's state for each Z-basis input, stacked on axis -3
-    rho_u, rho_flip = rho[..., 0, :, :], rho[..., 1, :, :]
-    chi, s_avg = _holevo(0.5 * (rho_u + rho_flip), rho_u, rho_flip)
+    chi, s_avg = _holevo(eve_state(params.isometry, "01"))  # Eve's state for each Z-basis input
     i_ab = 1.0 - binary_entropy(params.qber)
     r = i_ab - chi
     residual = np.abs(r - (1.0 - s_avg))

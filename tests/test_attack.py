@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from symqkd.attack import (
 )
 from symqkd.rates import holevo_information
 from symqkd.smallmat import hermitian_eigenvalues, is_isometry, projector
-from symqkd.states import LABELS, SIGNAL_STATES, Protocol, basis_labels, state_vector
+from symqkd.states import LABELS, SIGNAL_STATES, Protocol, basis_labels, basis_rows, state_vector
 
 # Frozen oracle values (binary entropies evaluated independently).
 H_QUARTER = 0.8112781244591328
@@ -66,7 +67,7 @@ class TestQber:
         # y = pi/2 rounds to (1 - cos x)/(2 - cos x) exactly.
         xs = np.linspace(0.0, math.pi, 200_001)
         cx = np.cos(xs)
-        assert np.array_equal(AttackParams("six-state", xs).qber, (1.0 - cx) / (2.0 - cx))
+        assert AttackParams("six-state", xs).qber.tobytes() == ((1.0 - cx) / (2.0 - cx)).tobytes()
 
     def test_degenerate_denominator_guarded(self):
         with pytest.raises(ValueError):
@@ -346,7 +347,7 @@ class TestBranchStates:
             for i, (x, y) in enumerate(zip(batch.x, batch.y)):
                 one = AttackParams(batch.protocol, float(x), float(y))
                 one_f, one_d = branch_states(attack_isometry(one), "X")
-                assert np.array_equal(rho_f[i], one_f) and np.array_equal(rho_d[i], one_d)
+                assert rho_f[i].tobytes() == one_f.tobytes() and rho_d[i].tobytes() == one_d.tobytes()
 
     def test_average_state_decomposes_over_branches(self):
         params = AttackParams("six-state", 1.3)
@@ -384,7 +385,7 @@ class TestVerifySymmetry:
                 one = AttackParams(batch.protocol, float(x), float(y))
                 for key, value in verify_symmetry(one, bases=("Z", "X", "Y")).items():
                     assert type(value) is float
-                    assert report[key][i] == value, (key, x, y)
+                    assert report[key][i].tobytes() == np.float64(value).tobytes(), (key, x, y)
 
     def test_single_attack_rows_keep_vdot_and_norm_arithmetic(self):
         # verify prints these round-off residuals to 12 digits, so they must
@@ -480,8 +481,7 @@ class TestWholeDomain:
     @staticmethod
     def chi(v, basis):
         """Eve's Holevo information on a key sifted in ``basis``, one value per attack of the stack v."""
-        u0, u1 = basis_labels(basis)
-        return holevo_information(eve_average(v, basis), eve_state(v, u0), eve_state(v, u1))
+        return holevo_information(eve_state(v, "".join(basis_labels(basis))))
 
     def test_bb84_chi_same_in_both_bases_everywhere(self, bb84_grid):
         v = bb84_grid.isometry
@@ -495,6 +495,16 @@ class TestWholeDomain:
         worst = np.argmax(gap_y)
         assert abs(gap_y[worst] - 1.0) <= 1e-12
         assert (x[worst], y[worst]) == (math.pi, 0.0)
+
+    def test_mismatched_measurement_is_a_coin_flip_everywhere(self, bb84_grid):
+        """Bob's outcome in every other protocol basis is 1/2 each: the simulator's shortcut on a basis mismatch."""
+        for params in (bb84_grid, AttackParams("six-state", self.GRID)):
+            v = params.isometry
+            for alice_basis, bob_basis in itertools.permutations(params.protocol.bases, 2):
+                kets = SIGNAL_STATES[basis_rows(bob_basis)]
+                for u in basis_labels(alice_basis):
+                    born = np.einsum("ki,...ij,kj->...k", kets.conj(), bob_state(v, u), kets).real
+                    assert np.abs(born - 0.5).max() <= 1e-12, (params.protocol, u, bob_basis)
 
     def test_six_state_chi_same_in_all_three_bases_everywhere(self):
         v = AttackParams("six-state", self.GRID).isometry

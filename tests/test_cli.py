@@ -511,6 +511,26 @@ class TestEnvironment:
         assert (result[0], result[2]) == (code, err)
         assert run_in_process([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == result
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["threshold", "--protocol", "bb84"], ["curve", "--protocol", "bb84", "--grid", "3"]],
+        ids=["threshold", "curve"],
+    )
+    def test_closed_stdout_is_io_failure(self, argv, monkeypatch, tmp_path):
+        """With stdout closed at start, sys.stdout is None: exit 1 with one i/o error line; --out still writes."""
+        printed = run_in_process(argv)[1]
+        err = io.StringIO()
+        monkeypatch.delenv("QKD_LOG", raising=False)
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert cli.main(argv) == 1
+        assert err.getvalue() == "i/o error: stdout is closed\n"
+        if argv[0] == "curve":
+            path = tmp_path / "curve.csv"
+            assert cli.main([*argv, "--out", str(path)]) == 0
+            assert path.read_text(encoding="utf-8") == printed
+            assert err.getvalue() == "i/o error: stdout is closed\n"
+
     def test_each_in_process_call_applies_its_own_log_level_and_stderr(self):
         argv = ["threshold", "--protocol", "bb84"]
         first, second = run_in_process(argv), run_in_process(argv, env={"QKD_LOG": "info"})

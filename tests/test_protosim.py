@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 from symqkd import protosim
-from symqkd.attack import AttackParams, attack_isometry
+from symqkd.attack import AttackParams
 from symqkd.protosim import (
     BLOCK_ROUNDS,
     DRAWS_PER_ROUND,
     ESTIMATION_FRACTION,
     RNG_NAME,
     SimConfig,
-    mismatch_outcome_check,
     run_simulation,
     simulate_rounds,
 )
-from symqkd.states import Protocol, basis_labels
 
 
 def bb84_at(d):
@@ -393,28 +391,6 @@ class TestRecord:
         result = run_simulation(cfg)
         expected = math.sqrt(result["qber_hat"] * (1 - result["qber_hat"]) / result["estimation_count"])
         assert abs(result["qber_se"] - expected) <= 1e-15
-
-
-class TestMismatchOutcome:
-    def test_uniform_for_symmetric_attacks(self):
-        # Every label against every other basis of the protocol: Z/X for BB84
-        # (generic x != y, the diagonal and the noiseless corner), Z/X/Y for six-state.
-        attacks = [AttackParams("bb84", 1.0, 1.7), AttackParams("bb84", 1.0, 1.0), AttackParams("bb84", 0.0, 0.0)]
-        for params in attacks + [AttackParams("six-state", 1.2)]:
-            v = attack_isometry(params)
-            bases = params.protocol.bases
-            for alice_basis, bob_basis in itertools.permutations(bases, 2):
-                for u in basis_labels(alice_basis):
-                    p0, p1 = mismatch_outcome_check(v, u, bob_basis)
-                    assert abs(p0 - 0.5) <= 1e-12, (params, u, bob_basis)
-                    assert abs(p1 - 0.5) <= 1e-12, (params, u, bob_basis)
-
-    def test_matching_basis_rejected(self):
-        v = attack_isometry(AttackParams("six-state", 1.2))
-        for basis in ("Z", "X", "Y"):
-            for u in basis_labels(basis):
-                with pytest.raises(ValueError, match="must differ"):
-                    mismatch_outcome_check(v, u, basis)
 
 
 def test_draws_per_round_is_the_stream_contract():
