@@ -67,7 +67,7 @@ def _qber_from_cosines(cx, cy):
     """``qber_bb84`` at angles whose cosines are cx and cy."""
     den = 2.0 - cx + cy
     if (np.abs(den) < 1e-12).any():
-        raise ValueError("degenerate attack angles: 2 - cos(x) + cos(y) vanishes")
+        raise ValueError(f"degenerate attack angles: 2 - cos(x) + cos(y) = {np.abs(den).min():.3e}, below 1e-12")
     return (1.0 - cx) / den
 
 
@@ -96,8 +96,9 @@ class AttackParams:
     reduced angles; ``isometry`` is built on first use and kept. Domains:
 
     - BB84: x, y in [0, pi] with QBER in [0, 1); y defaults to x, the
-      rate-minimizing diagonal. The edge y = pi (QBER 1) and the
-      degenerate corner (0, pi) are rejected.
+      rate-minimizing diagonal. The edge y = pi (QBER 1) is rejected, and
+      so are angles so near the corner (0, pi) that 2 - cos x + cos y
+      falls below 1e-12.
     - Six-state: x in [0, pi], QBER in [0, 2/3]. y is pi/2, the unique
       value symmetric in all three bases; a y within 1e-11 of it is taken
       as pi/2. This is the BB84 attack at y = pi/2, with the same QBER.

@@ -89,7 +89,7 @@ class SimConfig:
         if not 1 <= self.rounds < 2**63:
             raise ValueError(f"rounds must be between 1 and 2**63 - 1, not {self.rounds}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must be between 0 and 2**64 - 1, not {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Two independent routes to the same numbers live here. The numeric route
 runs the full pipeline (attack isometry, Eve's states from ``attack.eve_state``,
-eigenvalues, entropies, Holevo information) and assembles R = I_AB - chi_AE.
+eigenvalues, entropies, ``holevo_information``) and assembles R = I_AB - chi_AE.
 The closed route evaluates the known key-rate formulas of the two protocols
-directly as functions of the QBER. Their agreement over the whole attack
-family is the main correctness check of the package.
+directly, ``general_rate_bb84`` serving both ``rate_curve`` and the
+fixed-QBER search. Their agreement over the whole attack family is the
+main correctness check of the package. Each stage is one function.
 
 Both routes take arrays as well as scalars: a batch of attacks runs as
 one stack through the same code that evaluates a single attack, and every
@@ -98,24 +99,21 @@ def von_neumann_entropy(rho):
     return -_xlog2x(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
-def _holevo(states) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, S(rho_avg)) of each equiprobable pair of a (..., 2, n, n) stack, from one eigenvalue call."""
+def holevo_information(states) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, S(rho_avg)) of each equiprobable pair of a (..., 2, n, n) stack, as ``attack.eve_state(v, "01")`` returns.
+
+    chi = S(rho_avg) - [S(rho_0) + S(rho_1)] / 2 with rho_avg the pair's
+    average; all three entropies come from one eigenvalue call. Tiny
+    negative round-off is clamped to 0.
+    """
+    if np.ndim(states) < 3 or np.shape(states)[-3] != 2:
+        raise ValueError(f"expected a (..., 2, n, n) stack of state pairs, got shape {np.shape(states)}")
+    states = np.asarray(states)
     s = von_neumann_entropy(np.concatenate([0.5 * (states[..., :1, :, :] + states[..., 1:, :, :]), states], axis=-3))
     chi = s[..., 0] - 0.5 * (s[..., 1] + s[..., 2])
     if (chi < -_CHI_TOL).any():
         raise RuntimeError(f"Holevo information came out negative ({chi.min():.3e})")
     return np.maximum(chi, 0.0), s[..., 0]
-
-
-def holevo_information(states):
-    """Holevo bound of each equiprobable pair of a (..., 2, n, n) stack, as ``attack.eve_state(v, "01")`` returns.
-
-    chi = S(rho_avg) - [S(rho_0) + S(rho_1)] / 2 with rho_avg the pair's
-    average. Tiny negative round-off is clamped to 0.
-    """
-    if np.ndim(states) < 3 or np.shape(states)[-3] != 2:
-        raise ValueError(f"expected a (..., 2, n, n) stack of state pairs, got shape {np.shape(states)}")
-    return _holevo(np.asarray(states))[0]
 
 
 def dw_rate_numeric(params: AttackParams) -> dict:
@@ -128,7 +126,7 @@ def dw_rate_numeric(params: AttackParams) -> dict:
     (one attack) or arrays (a batch) keyed I_AB, chi_AE, R_DW and
     identity_residual = |R_DW - (1 - S(rho_E))|.
     """
-    chi, s_avg = _holevo(eve_state(params.isometry, "01"))  # Eve's state for each Z-basis input
+    chi, s_avg = holevo_information(eve_state(params.isometry, "01"))  # Eve's state for each Z-basis input
     i_ab = 1.0 - binary_entropy(params.qber)
     r = i_ab - chi
     residual = np.abs(r - (1.0 - s_avg))
@@ -179,13 +177,10 @@ def general_rate_bb84(x, y):
 
     Assembled from the branch decomposition of Eve's average state:
     R = 1 - H(D) - (1-D) H(b(x)) - D H(b(y)) with b the branch eigenvalue.
-    Coincides with 1 - 2 H(D) on the diagonal x = y.
+    Coincides with 1 - 2 H(D) on the diagonal x = y. The QBER and both
+    branch eigenvalues come from cos x and cos y, each computed once.
     """
-    return _rate_from_cosines(np.cos(x), np.cos(y))
-
-
-def _rate_from_cosines(cx, cy):
-    """``general_rate_bb84`` at the angles whose cosines are cx and cy; the fixed-QBER search calls it too."""
+    cx, cy = np.cos(x), np.cos(y)
     d = _qber_from_cosines(cx, cy)
     p = np.empty((3,) + np.shape(d))  # d has the shape cx and cy broadcast to
     p[0], p[1], p[2] = d, _branch_from_cosine(cx), _branch_from_cosine(cy)
@@ -259,20 +254,19 @@ def _constrained_y(c, d: float):
 
 def _fixed_qber_rate(x, d: float):
     """Rate at each x on the curve of QBER d, +inf where no y exists: the f of the fixed-QBER search."""
-    cx = np.cos(x)
-    y, feasible = _constrained_y(cx, d)
-    return np.where(feasible, _rate_from_cosines(cx, np.cos(np.where(feasible, y, 0.0))), math.inf)
+    y, feasible = _constrained_y(np.cos(x), d)
+    return np.where(feasible, general_rate_bb84(x, np.where(feasible, y, 0.0)), math.inf)
 
 
 def minimize_family_rate(d_target: float, grid: int) -> dict:
     """Minimize the BB84 rate over all attacks with a fixed QBER.
 
-    Scans x on a grid over its feasible range in one array evaluation (the
-    companion angle y is solved from the QBER constraint; grid points with
-    |cos y| > 1 are skipped), then refines the best cell by golden-section
-    search. The minimum sits on the diagonal x = y at rate 1 - 2 H(D).
-    Targets below the floor ``_MIN_TARGET`` (1e-15) raise, and so does a
-    grid outside 100 to ``_MAX_GRID`` (2**40). Returns
+    Scans x on a grid over its feasible range in one array evaluation of
+    ``general_rate_bb84`` (the companion angle y is solved from the QBER
+    constraint; grid points with |cos y| > 1 are skipped), then refines the
+    best cell by golden-section search. The minimum sits on the diagonal
+    x = y at rate 1 - 2 H(D). Targets below the floor ``_MIN_TARGET``
+    (1e-15) raise, and so does a grid outside 100 to ``_MAX_GRID`` (2**40). Returns
     ``{"x_best", "y_best", "R_min", "gap"}``, with gap = |R_min - (1 - 2 H(D))|.
 
     Each f comes from one array call over every point the next ``_LOOKAHEAD``
@@ -322,7 +316,6 @@ def minimize_family_rate(d_target: float, grid: int) -> dict:
         else:
             bracket, tree = shrink(*bracket, left), None
     x_best = 0.5 * (bracket[0] + bracket[1])
-    cx = np.cos(x_best)
-    y_best = float(_constrained_y(cx, d_target)[0])
-    r_min = float(_rate_from_cosines(cx, np.cos(y_best)))
+    y_best = float(_constrained_y(np.cos(x_best), d_target)[0])
+    r_min = float(general_rate_bb84(x_best, y_best))
     return {"x_best": x_best, "y_best": y_best, "R_min": r_min, "gap": abs(r_min - closed_rate_bb84(d_target))}

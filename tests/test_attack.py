@@ -481,7 +481,7 @@ class TestWholeDomain:
     @staticmethod
     def chi(v, basis):
         """Eve's Holevo information on a key sifted in ``basis``, one value per attack of the stack v."""
-        return holevo_information(eve_state(v, "".join(basis_labels(basis))))
+        return holevo_information(eve_state(v, "".join(basis_labels(basis))))[0]
 
     def test_bb84_chi_same_in_both_bases_everywhere(self, bb84_grid):
         v = bb84_grid.isometry

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -89,6 +90,16 @@ class TestVerify:
 
     def test_bb84_y_defaults_to_x(self):
         code, _, err = run_in_process(["verify", "--protocol", "bb84", "--x", "0.9"])
+        assert code == 0, err
+
+    def test_bb84_angles_near_the_corner_name_their_denominator(self):
+        # (1e-6, 3.1415926) has a QBER of 0.997, but its denominator 5.015e-13 is below the bound.
+        # An ulp of cos moves the denominator's fourth digit, so the test reads the number back.
+        argv = ["verify", "--protocol", "bb84", "--x", "1e-6", "--y", "3.1415926"]
+        code, out, err = run_in_process(argv)
+        found = re.fullmatch(r"error: degenerate attack angles: 2 - cos\(x\) \+ cos\(y\) = (\S+), below 1e-12\n", err)
+        assert (code, out) == (2, "") and found and abs(float(found[1]) - 5.015e-13) <= 5e-16
+        code, _, err = run_in_process(["verify", "--protocol", "bb84", "--x", "1e-5", "--y", "3.1415926"])
         assert code == 0, err
 
     def test_bb84_y_equals_pi_rejected(self):
@@ -343,6 +354,10 @@ class TestSimulate:
         rounds = str(10**30)
         argv = ["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", rounds, "--seed", "1"]
         assert run_in_process(argv) == (2, "", f"error: rounds must be between 1 and 2**63 - 1, not {rounds}\n")
+
+    def test_negative_seed_names_the_seed_range(self):
+        argv = ["simulate", "--protocol", "bb84", "--x", "0.5", "--rounds", "10", "--seed", "-1"]
+        assert run_in_process(argv) == (2, "", "error: seed must be between 0 and 2**64 - 1, not -1\n")
 
     # The child pins itself to one CPU of its affinity set, as `taskset -c` does,
     # before the simulator counts the CPUs it may use.

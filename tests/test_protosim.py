@@ -61,6 +61,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"between 1 and 2\*\*63 - 1, not 9223372036854775808"):
             SimConfig(params=bb84_at(0.1), rounds=2**63, seed=1)
 
+    def test_seed_ends_at_zero_and_two_to_the_64_less_one(self):
+        for seed in (0, 2**64 - 1):
+            assert SimConfig(params=bb84_at(0.1), rounds=10, seed=seed).seed == seed
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must be between 0 and 2\*\*64 - 1, not {seed}$"):
+                SimConfig(params=bb84_at(0.1), rounds=10, seed=seed)
+
     def test_numpy_integers_stored_as_int(self):
         cfg = SimConfig(params=bb84_at(0.1), rounds=np.int64(10), seed=np.uint64(3))
         assert (type(cfg.rounds), type(cfg.seed)) == (int, int)

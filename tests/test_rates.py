@@ -90,15 +90,25 @@ class TestVonNeumannEntropy:
 class TestHolevo:
     def test_identical_states_carry_nothing(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0])
-        assert holevo_information(np.stack([rho, rho])) == 0.0
+        assert holevo_information(np.stack([rho, rho]))[0] == 0.0
 
     def test_orthogonal_pure_states_carry_one_bit(self):
         a, b = projector([1, 0]), projector([0, 1])
-        assert abs(holevo_information(np.stack([a, b])) - 1.0) <= 1e-12
+        assert abs(holevo_information(np.stack([a, b]))[0] - 1.0) <= 1e-12
 
     def test_bb84_attack_value(self):
         v = attack_isometry(AttackParams("bb84", math.pi / 3, math.pi / 3))
-        assert abs(holevo_information(eve_state(v, "01")) - H_QUARTER) <= 1e-9
+        assert abs(holevo_information(eve_state(v, "01"))[0] - H_QUARTER) <= 1e-9
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_entropy_of_the_average_is_von_neumann_entropy_bit_for_bit(self, protocol):
+        """The S(rho_avg) returned beside chi is von_neumann_entropy of the pair's average, batch or single."""
+        xs = np.linspace(0.0, math.pi, 33)[:-1]
+        for params in [AttackParams(protocol, xs), AttackParams(protocol, 1.1)]:
+            states = eve_state(params.isometry, "01")
+            s_avg = holevo_information(states)[1]
+            expected = von_neumann_entropy(0.5 * (states[..., 0, :, :] + states[..., 1, :, :]))
+            assert s_avg.tobytes() == expected.tobytes()
 
     def test_stack_other_than_a_pair_rejected(self):
         a, b = projector([1, 0]), projector([0, 1])
@@ -150,26 +160,33 @@ class TestDwRateNumeric:
             v = attack_isometry(params)
             chis = []
             for basis in params.protocol.bases:
-                chis.append(holevo_information(eve_state(v, "".join(basis_labels(basis)))))
+                chis.append(holevo_information(eve_state(v, "".join(basis_labels(basis))))[0])
             assert max(chis) - min(chis) <= 1e-9
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_eve_states_are_those_of_eve_state_bit_for_bit(self, protocol, monkeypatch):
-        """Both Z-basis states come from one eve_state(v, "01") call per rate; chi and S(rho_avg) keep their bits."""
-        calls = []
+        """One eve_state(v, "01") and one holevo_information call per rate; chi and S(rho_avg) keep their bits."""
+        calls, holevo_calls = [], []
 
         def counted(v, u):
             calls.append((v, u))
             return eve_state(v, u)
 
+        def holevo_counted(states):
+            holevo_calls.append(states)
+            return holevo_information(states)
+
         monkeypatch.setattr(rates, "eve_state", counted)
+        monkeypatch.setattr(rates, "holevo_information", holevo_counted)
         xs = np.linspace(0.0, math.pi, 97)[:-1]
         for params in [AttackParams(protocol, xs), AttackParams(protocol, 1.1)]:
             v = params.isometry
-            chi, s_avg = rates._holevo(np.stack([eve_state(v, "0"), eve_state(v, "1")], axis=-3))
+            chi, s_avg = holevo_information(np.stack([eve_state(v, "0"), eve_state(v, "1")], axis=-3))
             calls.clear()
+            holevo_calls.clear()
             point = dw_rate_numeric(params)
             assert len(calls) == 1 and calls[0][0] is v and calls[0][1] == "01"
+            assert len(holevo_calls) == 1 and holevo_calls[0].shape == np.shape(params.x) + (2, 4, 4)
             assert np.asarray(point["chi_AE"]).tobytes() == chi.tobytes()
             assert np.asarray(point["identity_residual"]).tobytes() == np.abs(point["R_DW"] - (1.0 - s_avg)).tobytes()
 
@@ -504,8 +521,8 @@ class TestMinimizeFamilyRate:
 
     def test_golden_section_evaluates_its_points_in_batches(self, monkeypatch):
         """One scan, a handful of lookahead batches and the final point; 47 calls with one per point."""
-        sizes, kernel = [], rates._rate_from_cosines
-        monkeypatch.setattr(rates, "_rate_from_cosines", lambda cx, cy: sizes.append(np.size(cx)) or kernel(cx, cy))
+        sizes, rate = [], rates.general_rate_bb84
+        monkeypatch.setattr(rates, "general_rate_bb84", lambda x, y: sizes.append(np.size(x)) or rate(x, y))
         minimize_family_rate(0.11, 2000)
         scan, *batches, final = sizes
         assert (scan, final) == (2000, 1)
